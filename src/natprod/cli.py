@@ -25,25 +25,19 @@ from dataclasses import dataclass
 from . import matpoly as mp
 from . import structures as st
 from . import verify as vf
-from .errors import NatProdError, NoRationalRoot, ParseError
+from .errors import NatProdError, NoRationalRoot, ParseError, TypeMismatch
 from .matrix import (
     Matrix,
     Shape,
     divides,
     main_complement,
+    matrix_from_json,
     matrix_to_json,
+    natural_inverse,
+    parse_literal,
     render_matrix,
 )
-from .scalars import domain_from_code
-from .errors import TypeMismatch
-from .supermatrix import (
-    PartitionType,
-    SuperMatrix,
-    parse_super,
-    render_super,
-    super_inverse,
-    super_to_json,
-)
+from .scalars import Q, domain_from_code
 
 
 @dataclass
@@ -99,18 +93,19 @@ def _read_source(token):
     if stripped.startswith("[") or stripped.startswith("{"):
         return stripped
     if os.path.exists(token):
-        with open(token, "r", encoding="utf-8") as handle:
-            return handle.read().strip()
+        try:
+            with open(token, "r", encoding="utf-8") as handle:
+                return handle.read().strip()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ParseError(f"cannot read {token}: {exc}") from None
     raise ParseError(f"no such file: {token}")
 
 
-def _load_super(token, domain) -> SuperMatrix:
+def _load_matrix(token, domain) -> Matrix:
     text = _read_source(token)
     if text.startswith("{"):
-        from .supermatrix import super_from_json
-
-        return super_from_json(text)
-    return parse_super(text, domain)
+        return matrix_from_json(text)
+    return parse_literal(text, domain)
 
 
 def _load_poly(token, domain) -> mp.MatPoly:
@@ -120,14 +115,10 @@ def _load_poly(token, domain) -> mp.MatPoly:
     return mp.parse_poly(text, domain)
 
 
-def _emit_super(s: SuperMatrix, fmt):
+def _emit_matrix(m: Matrix, fmt):
     if fmt == "json":
-        if s.ptype.is_plain:
-            return json.dumps(matrix_to_json(s.base), sort_keys=True)
-        return json.dumps(super_to_json(s), sort_keys=True)
-    if s.ptype.is_plain:
-        return render_matrix(s.base)
-    return render_super(s)
+        return json.dumps(matrix_to_json(m), sort_keys=True)
+    return render_matrix(m)
 
 
 def _emit_poly(p: mp.MatPoly, fmt):
@@ -136,20 +127,16 @@ def _emit_poly(p: mp.MatPoly, fmt):
     return mp.render_poly(p)
 
 
-def _wrap(base: Matrix, like: SuperMatrix) -> SuperMatrix:
-    return SuperMatrix(base, like.ptype)
-
-
 def _cmd_eval(args):
     fmt = args.format
     domain = domain_from_code(args.domain)
-    operands = [_load_super(tok, domain) for tok in args.inputs]
+    operands = [_load_matrix(tok, domain) for tok in args.inputs]
 
     if args.subverb == "parse-render":
-        return RunReport(0, "\n".join(_emit_super(s, fmt) for s in operands))
+        return RunReport(0, "\n".join(_emit_matrix(m, fmt) for m in operands))
 
     if args.subverb == "inv":
-        results = [_emit_super(super_inverse(s), fmt) for s in operands]
+        results = [_emit_matrix(natural_inverse(m), fmt) for m in operands]
         return RunReport(0, "\n".join(results))
 
     if len(operands) != 2:
@@ -157,18 +144,17 @@ def _cmd_eval(args):
     a, b = operands
 
     if args.subverb == "add":
-        return RunReport(0, _emit_super(a + b, fmt))
+        return RunReport(0, _emit_matrix(a + b, fmt))
     if args.subverb == "nprod":
-        return RunReport(0, _emit_super(a * b, fmt))
+        return RunReport(0, _emit_matrix(a * b, fmt))
     if args.subverb == "uprod":
-        if not (a.ptype.is_plain and b.ptype.is_plain):
+        if a.partition is not None or b.partition is not None:
             raise ParseError("the usual product is undefined on partitioned matrices")
-        result = a.base @ b.base
-        return RunReport(0, _emit_super(SuperMatrix(result, PartitionType(result.shape)), fmt))
+        return RunReport(0, _emit_matrix(a @ b, fmt))
     if args.subverb == "orth":
-        if not (a.ptype.is_plain and b.ptype.is_plain) and a.ptype != b.ptype:
+        if a.partition != b.partition:
             raise TypeMismatch("operands carry different partitions")
-        flag = (a.base * b.base).is_zero()
+        flag = (a * b).is_zero()
         payload = json.dumps({"orthogonal": flag}) if fmt == "json" else str(flag).lower()
         return RunReport(0 if flag else 1, payload)
     if args.subverb == "divides":
@@ -176,7 +162,7 @@ def _cmd_eval(args):
         if quotient is None:
             payload = json.dumps({"divides": False}) if fmt == "json" else "none"
             return RunReport(1, payload)
-        return RunReport(0, _emit_super(_wrap(quotient, a), fmt))
+        return RunReport(0, _emit_matrix(quotient.with_partition(a.partition), fmt))
     raise ParseError(f"unknown eval subverb {args.subverb}")
 
 
@@ -185,7 +171,9 @@ def _solve(p: mp.MatPoly, fmt):
     if degree is None:
         raise ParseError("cannot solve the zero polynomial")
     supported = set(p._terms)
-    if degree == 2 and supported <= {0, 1, 2}:
+    # Q keeps the quadratic formula even for a*x^2 + c: its root order and
+    # failure text differ from solve_binomial's.
+    if degree == 2 and (1 in supported or p.domain == Q):
         try:
             roots = mp.solve_quadratic(p.coeff(2), p.coeff(1), p.coeff(0))
         except NoRationalRoot as exc:
@@ -247,7 +235,7 @@ def _cmd_poly(args):
     if args.subverb == "int":
         constant = None
         if args.const is not None:
-            constant = _load_super(args.const, p.domain).base
+            constant = _load_matrix(args.const, p.domain).base
         return RunReport(0, _emit_poly(mp.poly_integrate(p, constant), fmt))
     if args.subverb == "degree":
         degree = p.degree()
@@ -280,7 +268,7 @@ def _parse_carrier(spec, domain):
         return st.Carrier.all_matrices(shape, mod, op=op)
     text = _read_source(spec)
     members = [
-        parse_super(line, domain).base
+        parse_literal(line, domain).base
         for line in text.splitlines()
         if line.strip()
     ]
@@ -311,7 +299,7 @@ def _cmd_analyze(args):
     if args.subverb == "ideal":
         if len(args.inputs) != 2:
             raise ParseError("analyze ideal takes a carrier and a generator")
-        x = _load_super(args.inputs[1], carrier.domain).base
+        x = _load_matrix(args.inputs[1], carrier.domain).base
         ideal = st.ideal_generated(carrier, x)
         if fmt == "json":
             payload = json.dumps(
@@ -347,9 +335,9 @@ def _cmd_analyze(args):
 
 def _cmd_complement(args):
     domain = domain_from_code(args.domain)
-    s = _load_super(args.inputs[0], domain)
-    mask = main_complement(s.base)
-    space = st.orthogonal_space(s.base)
+    m = _load_matrix(args.inputs[0], domain).base
+    mask = main_complement(m)
+    space = st.orthogonal_space(m)
     if args.format == "json":
         payload = json.dumps(
             {

@@ -1,7 +1,8 @@
-"""Polynomials in one variable with matrix (or super matrix) coefficients.
+"""Polynomials in one variable with matrix coefficients.
 
-Coefficients all share one shape, domain and (optionally) one partition
-type.  Multiplication comes in two flavours: the natural-product
+Coefficients all share one shape, domain and partition; the polynomial
+stores them plain and keeps the partition once, as `ptype` (None when
+plain).  Multiplication comes in two flavours: the natural-product
 convolution, which is commutative for every shape, and the usual-product
 convolution, defined for square unpartitioned coefficients only and
 noncommutative.  Formal derivative and integral act coefficientwise.
@@ -9,6 +10,7 @@ noncommutative.  Formal derivative and integral act coefficientwise.
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -30,18 +32,20 @@ from .errors import (
     ZeroLead,
 )
 from .matrix import (
+    JSON_INPUT_ERRORS,
     Matrix,
+    PartitionType,
     Shape,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
     ones,
+    parse_literal,
     render_matrix,
     usual_inverse,
     zeros,
 )
 from .scalars import Domain, Q, Scalar, Z, domain_from_code, kth_root
-from .supermatrix import PartitionType, SuperMatrix, parse_super, render_super
 
 
 class MatPoly:
@@ -50,6 +54,10 @@ class MatPoly:
     __slots__ = ("shape", "domain", "ptype", "_terms")
 
     def __init__(self, shape, domain: Domain, terms, ptype: PartitionType | None = None):
+        if ptype is not None and ptype.is_plain:
+            ptype = None  # a cut-free partition is no partition
+        if ptype is not None and ptype.shape != shape:
+            raise ShapeMismatch("partition shape disagrees with coefficient shape")
         cleaned = {}
         for deg, coeff in dict(terms).items():
             deg = int(deg)
@@ -65,12 +73,14 @@ class MatPoly:
                 raise DomainMismatch(
                     f"coefficient at degree {deg} is over {coeff.domain.code}"
                 )
+            if coeff.partition is not None:
+                if coeff.partition != ptype:
+                    raise TypeMismatch(
+                        f"coefficient at degree {deg} carries another partition"
+                    )
+                coeff = coeff.base
             if not coeff.is_zero():
                 cleaned[deg] = coeff
-        if ptype is not None and ptype.is_plain:
-            ptype = None  # a cut-free partition is no partition
-        if ptype is not None and ptype.shape != shape:
-            raise ShapeMismatch("partition shape disagrees with coefficient shape")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ptype", ptype)
@@ -80,35 +90,27 @@ class MatPoly:
         raise AttributeError("MatPoly is immutable")
 
     @classmethod
-    def from_terms(cls, terms, ptype=None):
-        """Build from (degree, Matrix-or-SuperMatrix) pairs."""
+    def from_terms(cls, terms):
+        """Build from (degree, Matrix) pairs; repeated degrees add up.
+
+        Every coefficient must match the first in shape, domain and
+        partition, and that partition becomes the polynomial's.
+        """
         terms = list(terms)
         if not terms:
             raise ValueError("from_terms needs at least one term; use MatPoly.zero")
-        plain = {}
-        for deg, coeff in terms:
-            if isinstance(coeff, SuperMatrix):
-                if ptype is None:
-                    ptype = coeff.ptype
-                elif coeff.ptype != ptype:
-                    raise TypeMismatch("coefficients carry different partitions")
-                coeff = coeff.base
-            if deg in plain:
-                plain[deg] = plain[deg] + coeff
-            else:
-                plain[deg] = coeff
-        first = next(iter(plain.values()))
-        return cls(first.shape, first.domain, plain, ptype)
+        first = terms[0][1]
+        for _, coeff in terms:
+            first._check_peer(coeff)
+        return cls(first.shape, first.domain, _sum_by_degree(terms), first.partition)
 
     @classmethod
     def zero(cls, shape, domain, ptype=None):
         return cls(shape, domain, {}, ptype)
 
     @classmethod
-    def constant(cls, coeff, ptype=None):
-        if isinstance(coeff, SuperMatrix):
-            return cls.from_terms([(0, coeff)])
-        return cls(coeff.shape, coeff.domain, {0: coeff}, ptype)
+    def constant(cls, coeff):
+        return cls.from_terms([(0, coeff)])
 
     # -- access ----------------------------------------------------------
 
@@ -167,9 +169,7 @@ class MatPoly:
 
     def __add__(self, other):
         self._check_peer(other)
-        terms = dict(self._terms)
-        for deg, coeff in other._terms.items():
-            terms[deg] = terms[deg] + coeff if deg in terms else coeff
+        terms = _sum_by_degree(itertools.chain(self._terms.items(), other._terms.items()))
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __neg__(self):
@@ -183,12 +183,11 @@ class MatPoly:
     def __mul__(self, other):
         """Cauchy convolution with the natural product on coefficients."""
         self._check_peer(other)
-        terms = {}
-        for i, a in self._terms.items():
-            for j, b in other._terms.items():
-                prod = a * b
-                k = i + j
-                terms[k] = terms[k] + prod if k in terms else prod
+        terms = _sum_by_degree(
+            (i + j, a * b)
+            for i, a in self._terms.items()
+            for j, b in other._terms.items()
+        )
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __matmul__(self, other):
@@ -196,15 +195,22 @@ class MatPoly:
         self._check_peer(other)
         if self.shape.rows != self.shape.cols:
             raise NotSquare("usual product needs square coefficients")
-        if self.ptype is not None and not self.ptype.is_plain:
+        if self.ptype is not None:
             raise TypeMismatch("usual product is undefined on partitioned coefficients")
-        terms = {}
-        for i, a in self._terms.items():
-            for j, b in other._terms.items():
-                prod = a @ b
-                k = i + j
-                terms[k] = terms[k] + prod if k in terms else prod
+        terms = _sum_by_degree(
+            (i + j, a @ b)
+            for i, a in self._terms.items()
+            for j, b in other._terms.items()
+        )
         return MatPoly(self.shape, self.domain, terms, self.ptype)
+
+
+def _sum_by_degree(terms):
+    """{degree: coefficient} from (degree, coefficient) pairs, summing repeats."""
+    out = {}
+    for deg, coeff in terms:
+        out[deg] = out[deg] + coeff if deg in out else coeff
+    return out
 
 
 # -- spec operation surface --------------------------------------------------
@@ -313,7 +319,7 @@ def monicize_usual(p: MatPoly) -> MatPoly:
         raise NotMonicizable("the zero polynomial has no leading coefficient")
     if p.shape.rows != p.shape.cols:
         raise NotSquare("usual monicization needs square coefficients")
-    if p.ptype is not None and not p.ptype.is_plain:
+    if p.ptype is not None:
         raise TypeMismatch("usual monicization is undefined on partitioned coefficients")
     try:
         t = usual_inverse(p.lead())
@@ -431,16 +437,10 @@ _TERM_RE = re.compile(r"^\s*(\[.*\])\s*(?:(\*\s*x)(?:\^(\d+))?)?\s*$", re.S)
 def render_poly(p: MatPoly) -> str:
     """Canonical form: terms ascending by degree, `COEFF * x^K` each."""
     if p.is_zero():
-        zero = zeros(p.shape, p.domain)
-        if p.ptype is not None:
-            return render_super(SuperMatrix(zero, p.ptype))
-        return render_matrix(zero)
+        return render_matrix(zeros(p.shape, p.domain).with_partition(p.ptype))
     parts = []
     for deg, coeff in p.terms:
-        if p.ptype is not None:
-            lit = render_super(SuperMatrix(coeff, p.ptype))
-        else:
-            lit = render_matrix(coeff)
+        lit = render_matrix(coeff.with_partition(p.ptype))
         if deg == 0:
             parts.append(lit)
         elif deg == 1:
@@ -473,8 +473,7 @@ def parse_poly(text: str, domain: Domain = Q) -> MatPoly:
             raise ParseError(f"bad polynomial term {part.strip()!r}")
         literal, xmark, power = m.groups()
         deg = 0 if xmark is None else (1 if power is None else int(power))
-        coeff = parse_super(literal, domain)
-        terms.append((deg, coeff if not coeff.ptype.is_plain else coeff.base))
+        terms.append((deg, parse_literal(literal, domain)))
     return MatPoly.from_terms(terms)
 
 
@@ -493,12 +492,14 @@ def poly_to_json(p: MatPoly) -> dict:
 
 
 def poly_from_json(obj) -> MatPoly:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    shape = Shape(obj["shape"]["rows"], obj["shape"]["cols"])
-    domain = domain_from_code(obj["domain"])
-    terms = {t["deg"]: matrix_from_json(t["coeff"]) for t in obj["terms"]}
-    ptype = None
-    if "row_cuts" in obj or "col_cuts" in obj:
+    """Inverse of poly_to_json; repeated degrees add up, as in parse_poly."""
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        shape = Shape(obj["shape"]["rows"], obj["shape"]["cols"])
+        domain = domain_from_code(obj["domain"])
         ptype = PartitionType(shape, obj.get("row_cuts", ()), obj.get("col_cuts", ()))
-    return MatPoly(shape, domain, terms, ptype)
+        terms = [(t["deg"], matrix_from_json(t["coeff"])) for t in obj["terms"]]
+        return MatPoly(shape, domain, _sum_by_degree(terms), ptype)
+    except JSON_INPUT_ERRORS as exc:
+        raise ParseError(f"malformed polynomial JSON: {exc!r}") from None

@@ -2,7 +2,10 @@
 
 `A * B` is the natural product, `A @ B` the usual matrix product, `A + B`
 entrywise addition.  Matrices are immutable and hashable; every entry
-lives in one coefficient domain (see scalars).
+lives in one coefficient domain (see scalars).  A matrix may carry a
+partition ("super" matrix): row and column cut lines that split it into
+blocks.  Dropping the partition is a homomorphism, so the partition is
+just one more field that `+`, `-` and `*` demand to agree and carry over.
 """
 
 from __future__ import annotations
@@ -15,8 +18,10 @@ from .errors import (
     NotAUnit,
     NotInvertible,
     ParseError,
+    RaggedCuts,
     ShapeMismatch,
     TooLarge,
+    TypeMismatch,
     ZeroDivisorEntry,
 )
 from .scalars import Domain, Q, Scalar, Z, domain_from_code
@@ -41,10 +46,63 @@ def _shape(value) -> Shape:
     return shape
 
 
-class Matrix:
-    """An immutable rows x cols matrix over one exact domain."""
+class PartitionType:
+    """Row-cut and column-cut boundary sets for one shape.
 
-    __slots__ = ("shape", "domain", "values")
+    A cut at index k separates row/column k-1 from row/column k, so valid
+    cuts lie strictly inside the dimension: 1 <= k <= dim-1.  Empty cut
+    sets describe a plain (unpartitioned) matrix.
+    """
+
+    __slots__ = ("shape", "row_cuts", "col_cuts")
+
+    def __init__(self, shape, row_cuts=(), col_cuts=()):
+        shape = _shape(shape)
+        row_cuts = tuple(sorted(set(int(c) for c in row_cuts)))
+        col_cuts = tuple(sorted(set(int(c) for c in col_cuts)))
+        for c in row_cuts:
+            if not 1 <= c <= shape.rows - 1:
+                raise ValueError(f"row cut {c} outside (0, {shape.rows})")
+        for c in col_cuts:
+            if not 1 <= c <= shape.cols - 1:
+                raise ValueError(f"column cut {c} outside (0, {shape.cols})")
+        object.__setattr__(self, "shape", shape)
+        object.__setattr__(self, "row_cuts", row_cuts)
+        object.__setattr__(self, "col_cuts", col_cuts)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PartitionType is immutable")
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, PartitionType)
+            and self.shape == other.shape
+            and self.row_cuts == other.row_cuts
+            and self.col_cuts == other.col_cuts
+        )
+
+    def __hash__(self):
+        return hash((self.shape, self.row_cuts, self.col_cuts))
+
+    def __repr__(self):
+        return (
+            f"PartitionType({self.shape}, rows={list(self.row_cuts)}, "
+            f"cols={list(self.col_cuts)})"
+        )
+
+    @property
+    def is_plain(self):
+        return not self.row_cuts and not self.col_cuts
+
+
+class Matrix:
+    """An immutable rows x cols matrix over one exact domain.
+
+    `partition` is None for a plain matrix and a PartitionType with at
+    least one cut otherwise; a cut-free partition counts as none.
+    """
+
+    __slots__ = ("shape", "domain", "values", "partition")
 
     def __init__(self, shape, domain: Domain, values):
         shape = _shape(shape)
@@ -53,24 +111,27 @@ class Matrix:
             raise ValueError(
                 f"{shape} needs {shape.size} entries, got {len(values)}"
             )
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+        _set_shape(self, shape)
+        _set_domain(self, domain)
+        _set_values(self, values)
+        _set_partition(self, None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @classmethod
-    def _make(cls, shape, domain, values):
-        # internal: values already canonical for the domain
-        self = object.__new__(cls)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "values", values)
+    def _make(cls, shape, domain, values, partition=None):
+        # internal: values already canonical for the domain, partition
+        # already checked against the shape and None when cut-free
+        self = _new(cls)
+        _set_shape(self, shape)
+        _set_domain(self, domain)
+        _set_values(self, values)
+        _set_partition(self, partition)
         return self
 
     @classmethod
-    def from_rows(cls, rows, domain: Domain):
+    def from_rows(cls, rows, domain: Domain, row_cuts=(), col_cuts=()):
         rows = [list(r) for r in rows]
         if not rows or not rows[0]:
             raise ValueError("matrix needs at least one entry")
@@ -78,7 +139,37 @@ class Matrix:
         if any(len(r) != cols for r in rows):
             raise ValueError("ragged rows")
         flat = [v for r in rows for v in r]
-        return cls(Shape(len(rows), cols), domain, flat)
+        m = cls(Shape(len(rows), cols), domain, flat)
+        if row_cuts or col_cuts:
+            m = m.with_partition(PartitionType(m.shape, row_cuts, col_cuts))
+        return m
+
+    # -- partition -------------------------------------------------------
+
+    def with_partition(self, ptype):
+        """The same entries cut by `ptype` (None or cut-free: plain)."""
+        if ptype is not None:
+            if ptype.shape != self.shape:
+                raise ShapeMismatch(
+                    f"partition is for {ptype.shape}, matrix is {self.shape}"
+                )
+            if ptype.is_plain:
+                ptype = None
+        if ptype is self.partition:
+            return self
+        return Matrix._make(self.shape, self.domain, self.values, ptype)
+
+    @property
+    def base(self):
+        """The same entries without a partition."""
+        return self.with_partition(None)
+
+    @property
+    def ptype(self):
+        """The partition; the cut-free PartitionType of the shape when plain."""
+        if self.partition is None:
+            return PartitionType(self.shape)
+        return self.partition
 
     # -- basic access ----------------------------------------------------
 
@@ -101,6 +192,7 @@ class Matrix:
             and self.shape == other.shape
             and self.domain == other.domain
             and self.values == other.values
+            and (self.partition is other.partition or self.partition == other.partition)
         )
 
     def __hash__(self):
@@ -115,14 +207,19 @@ class Matrix:
     # -- arithmetic ------------------------------------------------------
 
     def _check_peer(self, other, same_shape=True):
+        """Shape (unless `same_shape` is false), then domain, then partition."""
         if not isinstance(other, Matrix):
             raise TypeError(f"expected a Matrix, got {type(other).__name__}")
+        if same_shape and self.shape != other.shape:
+            raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
         if self.domain != other.domain:
             raise DomainMismatch(
                 f"domains differ: {self.domain.code} vs {other.domain.code}"
             )
-        if same_shape and self.shape != other.shape:
-            raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
+        if self.partition is not other.partition and self.partition != other.partition:
+            raise TypeMismatch(
+                f"partitions differ: {self.ptype!r} vs {other.ptype!r}"
+            )
 
     def __add__(self, other):
         self._check_peer(other)
@@ -131,12 +228,12 @@ class Matrix:
             values = tuple((a + b) % n for a, b in zip(self.values, other.values))
         else:
             values = tuple(a + b for a, b in zip(self.values, other.values))
-        return Matrix._make(self.shape, self.domain, values)
+        return Matrix._make(self.shape, self.domain, values, self.partition)
 
     def __neg__(self):
         neg = self.domain.neg
         return Matrix._make(
-            self.shape, self.domain, tuple(neg(a) for a in self.values)
+            self.shape, self.domain, tuple(neg(a) for a in self.values), self.partition
         )
 
     def __sub__(self, other):
@@ -146,6 +243,7 @@ class Matrix:
             self.shape,
             self.domain,
             tuple(sub(a, b) for a, b in zip(self.values, other.values)),
+            self.partition,
         )
 
     def __mul__(self, other):
@@ -156,11 +254,13 @@ class Matrix:
             values = tuple((a * b) % n for a, b in zip(self.values, other.values))
         else:
             values = tuple(a * b for a, b in zip(self.values, other.values))
-        return Matrix._make(self.shape, self.domain, values)
+        return Matrix._make(self.shape, self.domain, values, self.partition)
 
     def __matmul__(self, other):
-        """Usual matrix product."""
+        """Usual matrix product; undefined on partitioned matrices."""
         self._check_peer(other, same_shape=False)
+        if self.partition is not None:
+            raise TypeMismatch("the usual product is undefined on partitioned matrices")
         if self.shape.cols != other.shape.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"
@@ -180,7 +280,7 @@ class Matrix:
         """k-th power under the natural product (k >= 0)."""
         if k < 0:
             raise ValueError("negative power")
-        result = ones(self.shape, self.domain)
+        result = ones(self.shape, self.domain).with_partition(self.partition)
         base = self
         while k:
             if k & 1:
@@ -197,7 +297,16 @@ class Matrix:
         """Multiply every entry by the scalar c (same domain)."""
         c = self.domain.coerce(c)
         mul = self.domain.mul
-        return Matrix(self.shape, self.domain, [mul(c, v) for v in self.values])
+        return Matrix._make(
+            self.shape, self.domain, tuple(mul(c, v) for v in self.values), self.partition
+        )
+
+
+# Matrix refuses __setattr__; its slot descriptors are the cheapest way in.
+_new = object.__new__
+_set_shape, _set_domain, _set_values, _set_partition = (
+    Matrix.__dict__[name].__set__ for name in Matrix.__slots__
+)
 
 
 def zeros(shape, domain: Domain) -> Matrix:
@@ -244,16 +353,17 @@ def uproduct(a: Matrix, b: Matrix) -> Matrix:
 
 
 def natural_inverse(a: Matrix) -> Matrix:
-    """The entrywise inverse: B with A * B = all-ones.
+    """The entrywise inverse: B with A * B = all-ones, carrying A's partition.
 
     Exists exactly when every entry is a unit of the domain (so never for
     an integer matrix with an entry outside {1, -1}, and never with a 0).
     """
     inv = a.domain.inv
     try:
-        return Matrix(a.shape, a.domain, [inv(v) for v in a.values])
+        values = tuple(inv(v) for v in a.values)
     except NotAUnit as exc:
         raise NotInvertible(str(exc)) from exc
+    return Matrix._make(a.shape, a.domain, values, a.partition)
 
 
 def is_idempotent(a: Matrix) -> bool:
@@ -450,42 +560,127 @@ def trivial_idempotents(shape, bound=DEFAULT_ENUM_BITS):
 
 
 # -- text and JSON forms ---------------------------------------------------
+#
+#   [9 0 2 | 0 1 ; 0 1 0 | 5 0 ; 1 0 0 | 2 0]   column cuts via `|`
+#   [1 2 ; -- ; 3 4]                            row cut via a `--` pseudo-row
+#
+# `|` positions must agree across all rows, `--` rows must contain nothing
+# else; both violations raise RaggedCuts.
 
 
 def render_matrix(a: Matrix) -> str:
-    """Canonical literal: `[a b c;d e f]`."""
+    """Canonical literal: `[a b c;d e f]`, cuts shown as `|` and `--`."""
     c = a.shape.cols
     render = a.domain.render
-    rows = [
-        " ".join(render(v) for v in a.values[i * c : (i + 1) * c])
-        for i in range(a.shape.rows)
-    ]
+    row_cuts, col_cuts = (), ()
+    if a.partition is not None:
+        row_cuts, col_cuts = a.partition.row_cuts, a.partition.col_cuts
+    rows = []
+    for i in range(a.shape.rows):
+        if i in row_cuts:
+            rows.append("--")
+        cells = [render(v) for v in a.values[i * c : (i + 1) * c]]
+        for j in reversed(col_cuts):
+            cells.insert(j, "|")
+        rows.append(" ".join(cells))
     return "[" + ";".join(rows) + "]"
 
 
-def parse_matrix(text: str, domain: Domain = Q) -> Matrix:
-    """Parse `[a b c ; d e f]` (whitespace-separated entries, `;` rows)."""
+def parse_literal(text: str, domain: Domain = Q) -> Matrix:
+    """Parse a matrix literal, partition marks included.
+
+    Errors carry the line and column of the offending row.
+    """
     stripped = text.strip()
+    if not stripped:
+        raise ParseError("empty literal")
+    offset = text.index(stripped[0])
     if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ParseError("matrix literal must be bracketed", column=1)
+        raise ParseError("matrix literal must be bracketed", column=offset + 1)
+
+    def location(pos):
+        # pos is an index into the original text
+        line = text.count("\n", 0, pos) + 1
+        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+        return line, col
+
+    body_start = offset + 1
     body = stripped[1:-1]
-    if "|" in body or "--" in body:
-        raise ParseError("plain matrix literal cannot carry partition marks")
+    raw_rows = []
+    start = 0
+    for chunk in body.split(";"):
+        raw_rows.append((chunk, body_start + start))
+        start += len(chunk) + 1
+
     rows = []
-    for raw in body.split(";"):
-        tokens = raw.split()
-        if not tokens:
-            raise ParseError("empty row in matrix literal")
-        rows.append([domain.parse(t) for t in tokens])
+    cut_layouts = []
+    row_cuts = []
+    pending_cut = False
+    for chunk, pos in raw_rows:
+        tokens = chunk.replace("|", " | ").split()
+        if tokens == ["--"]:
+            if not rows or pending_cut:
+                line, col = location(pos)
+                raise RaggedCuts("misplaced -- row cut", line, col)
+            pending_cut = True
+            continue
+        entries = []
+        cuts_here = []
+        for tok in tokens:
+            if tok == "|":
+                if not entries:
+                    line, col = location(pos)
+                    raise RaggedCuts("column cut before any entry", line, col)
+                cuts_here.append(len(entries))
+            elif tok == "--":
+                line, col = location(pos)
+                raise RaggedCuts("-- must stand alone as a pseudo-row", line, col)
+            else:
+                try:
+                    entries.append(domain.parse(tok))
+                except ParseError:
+                    line, col = location(pos)
+                    raise ParseError(f"bad entry {tok!r}", line, col) from None
+        if not entries:
+            line, col = location(pos)
+            raise ParseError("empty row", line, col)
+        if pending_cut:
+            row_cuts.append(len(rows))
+            pending_cut = False
+        rows.append(entries)
+        cut_layouts.append(cuts_here)
+
+    if pending_cut:
+        raise RaggedCuts("trailing -- row cut")
+    if not rows:
+        raise ParseError("empty literal")
     if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged rows in matrix literal")
-    return Matrix.from_rows(rows, domain)
+        raise ParseError("ragged rows")
+    if any(layout != cut_layouts[0] for layout in cut_layouts):
+        raise RaggedCuts("column cuts differ between rows")
+    if any(c >= len(rows[0]) for c in cut_layouts[0]):
+        raise RaggedCuts("column cut after the last entry")
+    return Matrix.from_rows(rows, domain, row_cuts=row_cuts, col_cuts=cut_layouts[0])
+
+
+def parse_matrix(text: str, domain: Domain = Q) -> Matrix:
+    """Parse a plain literal `[a b c ; d e f]`; partition marks are refused."""
+    m = parse_literal(text, domain)
+    if m.partition is not None:
+        raise ParseError("plain matrix literal cannot carry partition marks")
+    return m
+
+
+# What decoding malformed JSON input raises before any check of ours can:
+# bad syntax, a missing key, a number or list where text belongs.
+JSON_INPUT_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
 def matrix_to_json(a: Matrix) -> dict:
+    """Canonical JSON form; cut lists only when the matrix is partitioned."""
     render = a.domain.render
     c = a.shape.cols
-    return {
+    obj = {
         "domain": a.domain.code,
         "rows": a.shape.rows,
         "cols": a.shape.cols,
@@ -494,15 +689,26 @@ def matrix_to_json(a: Matrix) -> dict:
             for i in range(a.shape.rows)
         ],
     }
+    if a.partition is not None:
+        obj["row_cuts"] = list(a.partition.row_cuts)
+        obj["col_cuts"] = list(a.partition.col_cuts)
+    return obj
 
 
 def matrix_from_json(obj) -> Matrix:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    domain = domain_from_code(obj["domain"])
-    rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
-    m = Matrix.from_rows(rows, domain)
-    if m.shape != Shape(obj["rows"], obj["cols"]):
+    """Inverse of matrix_to_json, from a dict or JSON text."""
+    try:
+        if isinstance(obj, str):
+            obj = json.loads(obj)
+        domain = domain_from_code(obj["domain"])
+        rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
+        m = Matrix.from_rows(
+            rows, domain, obj.get("row_cuts", ()), obj.get("col_cuts", ())
+        )
+        declared = Shape(obj["rows"], obj["cols"])
+    except JSON_INPUT_ERRORS as exc:
+        raise ParseError(f"malformed matrix JSON: {exc!r}") from None
+    if m.shape != declared:
         raise ParseError("declared shape disagrees with entries")
     return m
 
@@ -513,6 +719,8 @@ def usual_inverse(a: Matrix) -> Matrix:
     Only what monicization of usual-product polynomials needs; raises
     NotInvertible on singular input.
     """
+    if a.partition is not None:
+        raise TypeMismatch("the usual inverse is undefined on partitioned matrices")
     if a.shape.rows != a.shape.cols:
         raise ShapeMismatch("only square matrices have a usual inverse")
     if not a.domain.is_rational or a.domain.is_cone:

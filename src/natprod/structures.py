@@ -89,9 +89,16 @@ class Carrier:
 
     def elements(self, max_elements=DEFAULT_MAX_ELEMENTS):
         """Members in canonical (row-major lexicographic) order."""
+        # An enumerated carrier has at least 2^size members: sizes from the
+        # bound's bit length up are refused before any power is computed.
+        if (
+            self.kind != "explicit" and self.shape.size >= max_elements.bit_length()
+        ) or self.cardinality() > max_elements:
+            raise TooLarge(
+                f"{self.kind} carrier of shape {self.shape} has more than "
+                f"{max_elements} elements"
+            )
         n = self.cardinality()
-        if n > max_elements:
-            raise TooLarge(f"carrier has {n} elements; bound is {max_elements}")
         if self.kind == "masks":
             return tuple(
                 SupportMask.from_int(self.shape, i).to_matrix(self.domain)

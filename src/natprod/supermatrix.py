@@ -1,281 +1,53 @@
-"""Partitioned ("super") matrices.
+"""Compatibility names for partitioned ("super") matrices.
 
-A partition type records where the horizontal and vertical cut lines sit;
-two super matrices can only be combined when their shapes, domains and
-both cut sets agree exactly.  Dropping the partition is a homomorphism:
-every operation acts on the underlying plain matrix.
+A partitioned matrix is a `Matrix` whose `partition` field is set (see
+matrix); every name here is an alias for, or a one-line use of, that
+single type and its one literal/JSON path.
 """
 
 from __future__ import annotations
 
-import json
-
-from .errors import DomainMismatch, ParseError, RaggedCuts, ShapeMismatch, TypeMismatch
-from .matrix import Matrix, _shape, matrix_from_json, matrix_to_json, natural_inverse, ones
-from .scalars import Domain, Q
-
-
-class PartitionType:
-    """Row-cut and column-cut boundary sets for one shape.
-
-    A cut at index k separates row/column k-1 from row/column k, so valid
-    cuts lie strictly inside the dimension: 1 <= k <= dim-1.  Empty cut
-    sets describe a plain (unpartitioned) matrix.
-    """
-
-    __slots__ = ("shape", "row_cuts", "col_cuts")
-
-    def __init__(self, shape, row_cuts=(), col_cuts=()):
-        shape = _shape(shape)
-        row_cuts = tuple(sorted(set(int(c) for c in row_cuts)))
-        col_cuts = tuple(sorted(set(int(c) for c in col_cuts)))
-        for c in row_cuts:
-            if not 1 <= c <= shape.rows - 1:
-                raise ValueError(f"row cut {c} outside (0, {shape.rows})")
-        for c in col_cuts:
-            if not 1 <= c <= shape.cols - 1:
-                raise ValueError(f"column cut {c} outside (0, {shape.cols})")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "row_cuts", row_cuts)
-        object.__setattr__(self, "col_cuts", col_cuts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionType is immutable")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartitionType)
-            and self.shape == other.shape
-            and self.row_cuts == other.row_cuts
-            and self.col_cuts == other.col_cuts
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.row_cuts, self.col_cuts))
-
-    def __repr__(self):
-        return (
-            f"PartitionType({self.shape}, rows={list(self.row_cuts)}, "
-            f"cols={list(self.col_cuts)})"
-        )
-
-    @property
-    def is_plain(self):
-        return not self.row_cuts and not self.col_cuts
+from .matrix import (
+    Matrix,
+    PartitionType,
+    mat_add,
+    matrix_from_json,
+    matrix_to_json,
+    natural_inverse,
+    nproduct,
+    ones,
+    parse_literal,
+    render_matrix,
+)
 
 
 class SuperMatrix:
-    """A Matrix together with its partition type."""
+    """`SuperMatrix(base, ptype)` is the `Matrix` `base` cut by `ptype`."""
 
-    __slots__ = ("base", "ptype")
+    def __new__(cls, base: Matrix, ptype: PartitionType) -> Matrix:
+        return base.with_partition(ptype)
 
-    def __init__(self, base: Matrix, ptype: PartitionType):
-        if ptype.shape != base.shape:
-            raise ShapeMismatch(
-                f"partition is for {ptype.shape}, matrix is {base.shape}"
-            )
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "ptype", ptype)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SuperMatrix is immutable")
-
-    @classmethod
-    def from_rows(cls, rows, domain: Domain, row_cuts=(), col_cuts=()):
-        base = Matrix.from_rows(rows, domain)
-        return cls(base, PartitionType(base.shape, row_cuts, col_cuts))
-
-    @property
-    def shape(self):
-        return self.base.shape
-
-    @property
-    def domain(self):
-        return self.base.domain
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SuperMatrix)
-            and self.ptype == other.ptype
-            and self.base == other.base
-        )
-
-    def __hash__(self):
-        return hash((self.base, self.ptype))
-
-    def __repr__(self):
-        return f"SuperMatrix({render_super(self)!r}, {self.domain.code})"
-
-    def __str__(self):
-        return render_super(self)
-
-    def _check_type(self, other):
-        if not isinstance(other, SuperMatrix):
-            raise TypeError(f"expected a SuperMatrix, got {type(other).__name__}")
-        if self.shape != other.shape:
-            raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
-        if self.domain != other.domain:
-            raise DomainMismatch(
-                f"domains differ: {self.domain.code} vs {other.domain.code}"
-            )
-        if not same_type(self, other):
-            raise TypeMismatch(
-                f"partitions differ: {self.ptype!r} vs {other.ptype!r}"
-            )
-
-    def __add__(self, other):
-        self._check_type(other)
-        return SuperMatrix(self.base + other.base, self.ptype)
-
-    def __neg__(self):
-        return SuperMatrix(-self.base, self.ptype)
-
-    def __sub__(self, other):
-        self._check_type(other)
-        return SuperMatrix(self.base - other.base, self.ptype)
-
-    def __mul__(self, other):
-        self._check_type(other)
-        return SuperMatrix(self.base * other.base, self.ptype)
-
-    def is_zero(self):
-        return self.base.is_zero()
+    from_rows = Matrix.from_rows
+    # the arithmetic is Matrix's own; named here for code that looks it up
+    __add__ = Matrix.__add__
+    __sub__ = Matrix.__sub__
+    __mul__ = Matrix.__mul__
+    __neg__ = Matrix.__neg__
 
 
-def same_type(s: SuperMatrix, t: SuperMatrix) -> bool:
+def same_type(s: Matrix, t: Matrix) -> bool:
     """Identical shape, domain and both cut sets."""
     return s.ptype == t.ptype and s.domain == t.domain
 
 
-def super_add(s: SuperMatrix, t: SuperMatrix) -> SuperMatrix:
-    return s + t
+def super_ones(ptype: PartitionType, domain) -> Matrix:
+    return ones(ptype.shape, domain).with_partition(ptype)
 
 
-def super_nproduct(s: SuperMatrix, t: SuperMatrix) -> SuperMatrix:
-    return s * t
-
-
-def super_ones(ptype: PartitionType, domain: Domain) -> SuperMatrix:
-    return SuperMatrix(ones(ptype.shape, domain), ptype)
-
-
-def super_inverse(s: SuperMatrix) -> SuperMatrix:
-    """Entrywise inverse carrying the partition; needs every entry a unit."""
-    return SuperMatrix(natural_inverse(s.base), s.ptype)
-
-
-# -- literal grammar --------------------------------------------------------
-#
-#   [9 0 2 | 0 1 ; 0 1 0 | 5 0 ; 1 0 0 | 2 0]   column cuts via `|`
-#   [1 2 ; -- ; 3 4]                            row cut via a `--` pseudo-row
-#
-# `|` positions must agree across all rows, `--` rows must contain nothing
-# else; both violations raise RaggedCuts.
-
-
-def parse_super(text: str, domain: Domain = Q) -> SuperMatrix:
-    stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty literal")
-    offset = text.index(stripped[0])
-    if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ParseError("super matrix literal must be bracketed", column=offset + 1)
-
-    def location(pos):
-        # pos is an index into the original text
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    body_start = offset + 1
-    body = stripped[1:-1]
-    raw_rows = []
-    start = 0
-    for chunk in body.split(";"):
-        raw_rows.append((chunk, body_start + start))
-        start += len(chunk) + 1
-
-    rows = []
-    cut_layouts = []
-    row_cuts = []
-    pending_cut = False
-    for chunk, pos in raw_rows:
-        tokens = chunk.replace("|", " | ").split()
-        if tokens == ["--"]:
-            if not rows or pending_cut:
-                line, col = location(pos)
-                raise RaggedCuts("misplaced -- row cut", line, col)
-            pending_cut = True
-            continue
-        entries = []
-        cuts_here = []
-        for tok in tokens:
-            if tok == "|":
-                if not entries:
-                    line, col = location(pos)
-                    raise RaggedCuts("column cut before any entry", line, col)
-                cuts_here.append(len(entries))
-            elif tok == "--":
-                line, col = location(pos)
-                raise RaggedCuts("-- must stand alone as a pseudo-row", line, col)
-            else:
-                try:
-                    entries.append(domain.parse(tok))
-                except ParseError:
-                    line, col = location(pos)
-                    raise ParseError(f"bad entry {tok!r}", line, col) from None
-        if not entries:
-            line, col = location(pos)
-            raise ParseError("empty row", line, col)
-        if pending_cut:
-            row_cuts.append(len(rows))
-            pending_cut = False
-        rows.append(entries)
-        cut_layouts.append(cuts_here)
-
-    if pending_cut:
-        raise RaggedCuts("trailing -- row cut")
-    if not rows:
-        raise ParseError("empty literal")
-    if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged rows")
-    if any(layout != cut_layouts[0] for layout in cut_layouts):
-        raise RaggedCuts("column cuts differ between rows")
-    if any(c >= len(rows[0]) for c in cut_layouts[0]):
-        raise RaggedCuts("column cut after the last entry")
-    return SuperMatrix.from_rows(
-        rows, domain, row_cuts=row_cuts, col_cuts=cut_layouts[0]
-    )
-
-
-def render_super(s: SuperMatrix) -> str:
-    render = s.domain.render
-    cols = s.shape.cols
-    col_cuts = set(s.ptype.col_cuts)
-    row_cuts = set(s.ptype.row_cuts)
-    out_rows = []
-    for i, row in enumerate(s.base.rows()):
-        if i in row_cuts:
-            out_rows.append("--")
-        cells = []
-        for j in range(cols):
-            if j in col_cuts and j > 0:
-                cells.append("|")
-            cells.append(render(row[j]))
-        out_rows.append(" ".join(cells))
-    return "[" + ";".join(out_rows) + "]"
-
-
-def super_to_json(s: SuperMatrix) -> dict:
-    obj = matrix_to_json(s.base)
-    obj["row_cuts"] = list(s.ptype.row_cuts)
-    obj["col_cuts"] = list(s.ptype.col_cuts)
-    return obj
-
-
-def super_from_json(obj) -> SuperMatrix:
-    if isinstance(obj, str):
-        obj = json.loads(obj)
-    base = matrix_from_json({k: v for k, v in obj.items() if k not in ("row_cuts", "col_cuts")})
-    ptype = PartitionType(base.shape, obj.get("row_cuts", ()), obj.get("col_cuts", ()))
-    return SuperMatrix(base, ptype)
+parse_super = parse_literal
+render_super = render_matrix
+super_to_json = matrix_to_json
+super_from_json = matrix_from_json
+super_add = mat_add
+super_nproduct = nproduct
+super_inverse = natural_inverse

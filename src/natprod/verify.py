@@ -25,6 +25,7 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
+    PartitionType,
     Shape,
     SupportMask,
     diagonal,
@@ -35,6 +36,8 @@ from .matrix import (
     main_complement,
     natural_inverse,
     ones,
+    parse_literal,
+    render_matrix,
     support,
     trivial_idempotent_count,
     trivial_idempotents,
@@ -42,14 +45,6 @@ from .matrix import (
     zeros,
 )
 from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, dom_inv, dom_mul, is_unit, kth_root
-from .supermatrix import (
-    PartitionType,
-    SuperMatrix,
-    parse_super,
-    render_super,
-    super_inverse,
-    super_ones,
-)
 
 
 @dataclass
@@ -251,30 +246,30 @@ def _zero_set_annihilator():
 @_case("super-addition-cellwise")
 def _super_addition():
     pt = dict(row_cuts=(2, 4), col_cuts=(2, 4, 6))
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [[7 * i + j + 1 for j in range(7)] for i in range(5)], Q, **pt
     )
-    y = SuperMatrix.from_rows(
+    y = Matrix.from_rows(
         [[100 + 7 * i + j for j in range(7)] for i in range(5)], Q, **pt
     )
     total = x + y
-    expected = SuperMatrix.from_rows(
+    expected = Matrix.from_rows(
         [[7 * i + j + 1 + 100 + 7 * i + j for j in range(7)] for i in range(5)], Q, **pt
     )
     _expect(total, expected, "cellwise sums")
-    _expect(total.ptype, x.ptype, "partition preserved")
+    _expect(total.partition, x.partition, "partition preserved")
 
 
 @_case("super-natural-product-3x5")
 def _super_nproduct():
     pt = dict(col_cuts=(2, 4))
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5], [0, 1, 2, 7, 1]], Q, **pt
     )
-    y = SuperMatrix.from_rows(
+    y = Matrix.from_rows(
         [[0, 1, 2, 3, 5], [9, 0, 1, 3, 4], [7, 2, 3, 1, 2]], Q, **pt
     )
-    expected = SuperMatrix.from_rows(
+    expected = Matrix.from_rows(
         [[0, 2, 6, 12, 25], [81, 0, 7, 18, 20], [0, 2, 6, 7, 2]], Q, **pt
     )
     _expect(x * y, expected, "3x5 super natural product")
@@ -283,7 +278,7 @@ def _super_nproduct():
 @_case("super-zero-divisor-6x6")
 def _super_zero_divisor():
     pt = dict(row_cuts=(1, 3), col_cuts=(3,))
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [
             [7, 8, 0, 9, 4, 2],
             [0, 1, 2, 5, 7, 8],
@@ -295,7 +290,7 @@ def _super_zero_divisor():
         Q,
         **pt,
     )
-    y = SuperMatrix.from_rows(
+    y = Matrix.from_rows(
         [
             [0, 0, 9, 0, 0, 0],
             [7, 0, 0, 0, 0, 0],
@@ -313,53 +308,53 @@ def _super_zero_divisor():
 @_case("super-identity-all-ones")
 def _super_identity():
     pt = dict(col_cuts=(2, 4))
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5], [0, 1, 2, 7, 1]], Q, **pt
     )
-    j = super_ones(x.ptype, Q)
+    j = ones(x.shape, Q).with_partition(x.partition)
     _expect(x * j, x, "x x_n J = x")
     _expect(j * x, x, "J x_n x = x")
 
 
 @_case("super-inverse-mixed-row")
 def _super_inverse_row():
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [[Fraction(1, 8), 7, 5, 3, 2, 4, -1]], Q, col_cuts=(1, 3)
     )
-    expected = SuperMatrix.from_rows(
+    expected = Matrix.from_rows(
         [[8, Fraction(1, 7), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), -1]],
         Q,
         col_cuts=(1, 3),
     )
-    inv = super_inverse(x)
+    inv = natural_inverse(x)
     _expect(inv, expected, "entrywise inverse row")
-    _expect(x * inv, super_ones(x.ptype, Q), "x x_n inv = ones")
+    _expect(x * inv, ones(x.shape, Q).with_partition(x.partition), "x x_n inv = ones")
 
 
 @_case("super-inverse-zero-entry")
 def _super_inverse_blocked():
-    x = SuperMatrix.from_rows(
+    x = Matrix.from_rows(
         [[1, 0, 5, 7, 2, 1, 5, 7, -1, 2]], Q, col_cuts=(2, 5)
     )
-    _expect_raises(NotInvertible, lambda: super_inverse(x), "zero entry")
+    _expect_raises(NotInvertible, lambda: natural_inverse(x), "zero entry")
 
 
 @_case("super-sign-self-inverse")
 def _super_self_inverse():
-    x = SuperMatrix.from_rows([[1, -1, 1, 1, -1, -1, -1]], Z, col_cuts=(2, 5))
-    _expect(x * x, super_ones(x.ptype, Z), "x x_n x = ones")
-    _expect(super_inverse(x), x, "x is its own inverse")
+    x = Matrix.from_rows([[1, -1, 1, 1, -1, -1, -1]], Z, col_cuts=(2, 5))
+    _expect(x * x, ones(x.shape, Z).with_partition(x.partition), "x x_n x = ones")
+    _expect(natural_inverse(x), x, "x is its own inverse")
 
 
 @_case("super-literal-round-trip")
 def _super_literal():
     text = "[9 0 2 | 0 1 ; 0 1 0 | 5 0 ; 1 0 0 | 2 0]"
-    s = parse_super(text, Q)
+    s = parse_literal(text, Q)
     _expect(s.shape, Shape(3, 5), "shape")
-    _expect(s.ptype.col_cuts, (3,), "column cuts")
-    _expect(s.ptype.row_cuts, (), "row cuts")
-    _expect(s.base.rows()[0], [9, 0, 2, 0, 1], "first row")
-    _expect(parse_super(render_super(s), Q), s, "round trip")
+    _expect(s.partition.col_cuts, (3,), "column cuts")
+    _expect(s.partition.row_cuts, (), "row cuts")
+    _expect(s.rows()[0], [9, 0, 2, 0, 1], "first row")
+    _expect(parse_literal(render_matrix(s), Q), s, "round trip")
 
 
 @_case("row-poly-addition")
@@ -418,7 +413,7 @@ def _super_poly_nproduct():
     pt = PartitionType(Shape(3, 3), col_cuts=(2,))
 
     def sup(rows):
-        return SuperMatrix(_sq(rows), pt)
+        return _sq(rows).with_partition(pt)
 
     p = mp.MatPoly.from_terms(
         [
@@ -1009,8 +1004,8 @@ def run_laws(seed=0, samples=10000):
     for _ in range(diag_samples):
         shape = rand_shape(rng)
         pt = rand_partition(rng, shape)
-        s = SuperMatrix(rand_matrix(rng, shape), pt)
-        t = SuperMatrix(rand_matrix(rng, shape), pt)
+        s = rand_matrix(rng, shape).with_partition(pt)
+        t = rand_matrix(rng, shape).with_partition(pt)
         if (s * t).base != s.base * t.base or (s + t).base != s.base + t.base:
             fails += 1
             witness = witness or (s, t)

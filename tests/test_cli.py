@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from natprod.cli import run_command
 
 
@@ -63,6 +65,19 @@ def test_poly_solve_exit_codes():
     even = run("poly", "solve", "[1 1] * x^2 + [-4 -9]")
     assert even.exit_code == 0
     assert even.payload.splitlines()[:2] == ["[2 3]", "[-2 -3]"]
+
+
+def test_poly_solve_two_term_quadratic_over_z():
+    report = run("poly", "solve", "[1 1] * x^2 + [-4 -9]", "--domain", "Z")
+    assert report.exit_code == 0
+    assert report.payload.splitlines()[:2] == ["[2 3]", "[-2 -3]"]
+
+
+def test_mixed_partition_poly_terms_exit_2():
+    report = run("poly", "add", "[1 2] + [1 | 2] * x", "[1 | 1]")
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert "TypeMismatch" in report.diagnostics
 
 
 def test_orth_negative_finding_exits_1():
@@ -191,3 +206,40 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "[8 15]"
+
+
+def _write(path, content):
+    if isinstance(content, bytes):
+        path.write_bytes(content)
+    else:
+        path.write_text(content, encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda tmp: ["eval", "nprod", "{bad", "[1]"],
+        lambda tmp: [
+            "eval", "parse-render",
+            _write(tmp / "numbers.json", '{"domain":"Q","rows":1,"cols":1,"entries":[[3]]}'),
+        ],
+        lambda tmp: [
+            "eval", "parse-render",
+            _write(tmp / "no_cols.json", '{"domain":"Q","rows":1,"entries":[["3"]]}'),
+        ],
+        lambda tmp: ["eval", "parse-render", str(tmp)],
+        lambda tmp: ["eval", "parse-render", _write(tmp / "latin1.txt", b"[1 \xff\xfe 2]")],
+    ],
+    ids=["json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8"],
+)
+def test_malformed_input_exits_2_without_traceback(tmp_path, argv):
+    proc = subprocess.run(
+        [sys.executable, "-m", "natprod", *argv(tmp_path)],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "ParseError" in proc.stderr

@@ -290,6 +290,20 @@ def test_json_round_trip():
     assert poly_from_json(poly_to_json(partitioned)) == partitioned
 
 
+def test_json_repeated_degrees_add_up_like_text():
+    text = parse_poly("[1] * x + [2] * x", Q)
+    coeff = {"domain": "Q", "rows": 1, "cols": 1}
+    obj = {
+        "shape": {"rows": 1, "cols": 1},
+        "domain": "Q",
+        "terms": [
+            {"deg": 1, "coeff": dict(coeff, entries=[["1"]])},
+            {"deg": 1, "coeff": dict(coeff, entries=[["2"]])},
+        ],
+    }
+    assert poly_from_json(obj) == text == MatPoly.from_terms([(1, row([3]))])
+
+
 @settings(max_examples=50)
 @given(st.data())
 def test_ring_laws_property(data):

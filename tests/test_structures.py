@@ -73,6 +73,13 @@ def test_carrier_too_large():
         analyze(Carrier.all_matrices(Shape(2, 2), Mod(12)))
 
 
+def test_huge_carrier_refused_before_counting():
+    for carrier in (Carrier.masks(Shape(300, 300)), Carrier.all_matrices(Shape(300, 300), Mod(7))):
+        with pytest.raises(TooLarge) as info:
+            analyze(carrier)
+        assert "300x300" in str(info.value) and "1024" in str(info.value)
+
+
 def test_idempotents_examples():
     # oracle: brute-force squaring over Z_6
     per_entry = sorted(x for x in range(6) if (x * x) % 6 == x)
