@@ -28,7 +28,7 @@ from . import verify as vf
 from .errors import NatProdError, NoRationalRoot, ParseError, TypeMismatch
 from .matrix import (
     Matrix,
-    Shape,
+    _shape,
     divides,
     main_complement,
     matrix_from_json,
@@ -259,7 +259,7 @@ def _parse_carrier(spec, domain):
             parts = parts[:-1]
         try:
             rows, cols = parts[1].lower().split("x")
-            shape = Shape(int(rows), int(cols))
+            shape = _shape((int(rows), int(cols)))
         except (ValueError, IndexError):
             raise ParseError(f"bad carrier shape in {spec!r}") from None
         if parts[0] == "masks":

@@ -198,21 +198,70 @@ def _yesno(flag, witness):
     return f"no ({parts})" if parts else "no"
 
 
-def _support_key(m: Matrix):
-    """Idempotent search order: full-support first, then lexicographic."""
-    return (-support(m).popcount, m.values)
+class _Table:
+    """The carrier's multiplication table over indices (Froidure & Pin 1997).
 
-
-def _maximal_subgroup(elements, op, e):
-    """The maximal subgroup sitting at the idempotent e.
-
-    Members are the a with a.e = a possessing an inverse relative to e
-    among those candidates; in a commutative semigroup this is the
-    H-class of e.
+    Members keep their canonical order as indices 0..n-1, so index order is
+    the order of `values`.  `mul` computes each product once, by
+    `Carrier.apply`; a product outside the carrier is interned with an
+    index >= n, so `mul(a, b) < n` is closure and index equality stays
+    exact on carriers that are not closed.
     """
-    candidates = [a for a in elements if op(a, e) == a]
-    members = [a for a in candidates if any(op(a, b) == e for b in candidates)]
-    return sorted(members, key=lambda m: m.values)
+
+    __slots__ = ("elements", "n", "index", "_apply", "_memo")
+
+    def __init__(self, carrier: Carrier, max_elements):
+        self.elements = list(carrier.elements(max_elements))
+        self.n = len(self.elements)
+        self.index = {m: i for i, m in enumerate(self.elements)}
+        self._apply = carrier.apply
+        self._memo = {}
+
+    def intern(self, m: Matrix) -> int:
+        k = self.index.get(m)
+        if k is None:
+            k = self.index[m] = len(self.elements)
+            self.elements.append(m)
+        return k
+
+    def mul(self, a: int, b: int) -> int:
+        k = self._memo.get((a, b))
+        if k is None:
+            k = self._memo[a, b] = self.intern(self._apply(self.elements[a], self.elements[b]))
+        return k
+
+    def members(self, indices):
+        return None if indices is None else tuple(self.elements[i] for i in indices)
+
+    def h_classes(self, idempotents):
+        """(e, maximal subgroup at e) per idempotent, full support first.
+
+        Members are the a with a.e = a possessing an inverse relative to e
+        among those candidates; in a commutative semigroup this is the
+        H-class of e.  Lazy: a caller that stops early computes no more.
+        """
+        mul, elements = self.mul, self.elements
+        for e in sorted(idempotents, key=lambda i: (-support(elements[i]).popcount, i)):
+            candidates = [a for a in range(self.n) if mul(a, e) == a]
+            yield e, [a for a in candidates if any(mul(a, b) == e for b in candidates)]
+
+    def smarandache(self, subgroups):
+        """The first proper subgroup of order >= 2, or None; when a subgroup
+        is the whole carrier, its first proper cyclic subgroup <a> instead."""
+        n = self.n
+        for e, h in subgroups:
+            if 2 <= len(h) < n:
+                return h
+            if len(h) < n:
+                continue
+            for a in range(n):
+                cycle, current = [e], a
+                while current != e and current < n and current not in cycle:
+                    cycle.append(current)
+                    current = self.mul(current, a)
+                if current == e and 2 <= len(cycle) < n:
+                    return sorted(cycle)
+        return None
 
 
 def analyze(
@@ -227,118 +276,58 @@ def analyze(
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
     """
-    elements = carrier.elements(max_elements)
-    element_set = set(elements)
-    op = carrier.apply
-    n = len(elements)
+    table = _Table(carrier, max_elements)
+    mul, n, members = table.mul, table.n, table.members
+    idx = range(n)
 
-    closed, closure_witness = True, None
-    commutative, commutativity_witness = True, None
-    products = {}
-    for a in elements:
-        for b in elements:
-            ab = op(a, b)
-            products[(a, b)] = ab
-            if closed and ab not in element_set:
-                closed, closure_witness = False, (a, b)
-    for a, b in itertools.combinations(elements, 2):
-        if products[(a, b)] != products[(b, a)]:
-            commutative, commutativity_witness = False, (a, b)
-            break
+    closure_witness = next(((a, b) for a in idx for b in idx if mul(a, b) >= n), None)
+    commutativity_witness = next(
+        ((a, b) for a, b in itertools.combinations(idx, 2) if mul(a, b) != mul(b, a)),
+        None,
+    )
 
-    associative, associativity_witness = True, None
     if n <= ASSOC_EXHAUSTIVE_LIMIT:
         mode = "exhaustive"
-        for a in elements:
-            for b in elements:
-                ab = products[(a, b)]
-                for c in elements:
-                    if op(ab, c) != op(a, products[(b, c)]):
-                        associative, associativity_witness = False, (a, b, c)
-                        break
-                if not associative:
-                    break
-            if not associative:
-                break
+        triples = ((a, b, c) for a in idx for b in idx for c in idx)
     else:
         rng = random.Random(seed)
         mode = f"sampled({samples})"
-        for _ in range(samples):
-            a, b, c = (rng.choice(elements) for _ in range(3))
-            if op(op(a, b), c) != op(a, op(b, c)):
-                associative, associativity_witness = False, (a, b, c)
-                break
+        triples = (tuple(rng.choice(idx) for _ in range(3)) for _ in range(samples))
+    associativity_witness = next(
+        ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
+    )
 
-    identity = None
-    for e in elements:
-        if all(products[(e, a)] == a and products[(a, e)] == a for a in elements):
-            identity = e
-            break
-
-    idempotents = tuple(a for a in elements if products[(a, a)] == a)
+    identity = next(
+        (e for e in idx if all(mul(e, a) == a and mul(a, e) == a for a in idx)), None
+    )
+    idempotents = [a for a in idx if mul(a, a) == a]
 
     zero_divisor_pairs = ()
     if carrier.op == NATURAL_PRODUCT:
-        zero = zeros(carrier.shape, carrier.domain)
+        zero = table.intern(zeros(carrier.shape, carrier.domain))
         zero_divisor_pairs = tuple(
-            (a, b)
-            for a in elements
-            for b in elements
-            if not a.is_zero() and not b.is_zero() and products[(a, b)] == zero
+            members((a, b))
+            for a in idx
+            for b in idx
+            if a != zero and b != zero and mul(a, b) == zero
         )
-
-    subgroups = []
-    for e in sorted(idempotents, key=_support_key):
-        h = _maximal_subgroup(elements, op, e)
-        subgroups.append((e, tuple(h)))
-
-    witness = _smarandache_witness(elements, op, subgroups)
+    subgroups = list(table.h_classes(idempotents))
 
     return StructureReport(
         carrier=carrier,
-        closed=closed,
-        closure_witness=closure_witness,
-        associative=associative,
+        closed=closure_witness is None,
+        closure_witness=members(closure_witness),
+        associative=associativity_witness is None,
         associativity_mode=mode,
-        associativity_witness=associativity_witness,
-        commutative=commutative,
-        commutativity_witness=commutativity_witness,
-        identity=identity,
-        idempotents=idempotents,
+        associativity_witness=members(associativity_witness),
+        commutative=commutativity_witness is None,
+        commutativity_witness=members(commutativity_witness),
+        identity=None if identity is None else table.elements[identity],
+        idempotents=members(idempotents),
         zero_divisor_pairs=zero_divisor_pairs,
-        max_subgroups=tuple(subgroups),
-        smarandache=witness,
+        max_subgroups=tuple((table.elements[e], members(h)) for e, h in subgroups),
+        smarandache=members(table.smarandache(subgroups)),
     )
-
-
-def _cyclic_subgroup(elements, op, e, a):
-    """⟨a⟩ inside a finite group with identity e, or None if it escapes."""
-    seen = [e]
-    current = a
-    element_set = set(elements)
-    while current != e:
-        if current not in element_set or current in seen:
-            return None
-        seen.append(current)
-        current = op(current, a)
-    return sorted(seen, key=lambda m: m.values)
-
-
-def _smarandache_witness(elements, op, subgroups):
-    whole = len(elements)
-    for e, h in subgroups:
-        if len(h) < 2:
-            continue
-        if len(h) < whole:
-            return tuple(h)
-        # the carrier itself is a group: look for a proper cyclic subgroup
-        for a in elements:
-            if a == e:
-                continue
-            cyc = _cyclic_subgroup(elements, op, e, a)
-            if cyc is not None and 2 <= len(cyc) < whole:
-                return tuple(cyc)
-    return None
 
 
 def idempotents_in(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
@@ -358,25 +347,33 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
 
     The carrier must be a semigroup under the natural product; for mask
     carriers the result is the down-set of x's support, of size
-    2^popcount(support(x)).
+    2^popcount(support(x)).  A product that leaves the carrier raises
+    NotMember.  No product is read twice, so none is memoised.
     """
     if carrier.op != NATURAL_PRODUCT:
         raise UnsupportedDomain("ideals are computed under the natural product")
-    elements = carrier.elements(max_elements)
-    if x not in set(elements):
+    table = _Table(carrier, max_elements)
+    elements, index = table.elements, table.index
+    if x not in index:
         raise NotMember(f"{render_matrix(x)} is not a carrier member")
-    ideal = {x}
-    frontier = [x]
-    while frontier:
-        new = []
-        for f in frontier:
-            for s in elements:
-                prod = f * s
-                if prod not in ideal:
-                    ideal.add(prod)
-                    new.append(prod)
-        frontier = new
-    members = tuple(sorted(ideal, key=lambda m: m.values))
+    inside = [False] * table.n
+    inside[index[x]] = True
+    todo = [index[x]]
+    for f in todo:
+        a = elements[f]
+        for s in elements:
+            prod = a * s
+            try:
+                k = index[prod]
+            except KeyError:
+                raise NotMember(
+                    f"{render_matrix(a)} * {render_matrix(s)} = "
+                    f"{render_matrix(prod)} is not a carrier member"
+                ) from None
+            if not inside[k]:
+                inside[k] = True
+                todo.append(k)
+    members = tuple(itertools.compress(elements, inside))
     return GeneratedIdeal(members, len(members))
 
 
@@ -387,17 +384,12 @@ def is_smarandache(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
     idempotents first (the largest subgroup sits at the identity when
     there is one); singleton groups never certify.
     """
-    elements = carrier.elements(max_elements)
-    op = carrier.apply
-    idempotents = [a for a in elements if op(a, a) == a]
-    subgroups = [
-        (e, tuple(_maximal_subgroup(elements, op, e)))
-        for e in sorted(idempotents, key=_support_key)
-    ]
-    return _smarandache_witness(elements, op, subgroups)
+    table = _Table(carrier, max_elements)
+    idempotents = [a for a in range(table.n) if table.mul(a, a) == a]
+    return table.members(table.smarandache(table.h_classes(idempotents)))
 
 
-def is_subsemigroup(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
+def is_subsemigroup(carrier: Carrier, subset):
     """Is the subset closed under the carrier operation?"""
     subset = set(subset)
     op = carrier.apply

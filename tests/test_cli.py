@@ -230,8 +230,13 @@ def _write(path, content):
         ],
         lambda tmp: ["eval", "parse-render", str(tmp)],
         lambda tmp: ["eval", "parse-render", _write(tmp / "latin1.txt", b"[1 \xff\xfe 2]")],
+        lambda tmp: ["analyze", "carrier", "masks:0x3"],
+        lambda tmp: ["analyze", "carrier", "all:2x0:Zn:3"],
     ],
-    ids=["json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8"],
+    ids=[
+        "json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8",
+        "carrier_zero_rows", "carrier_zero_cols",
+    ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, argv):
     proc = subprocess.run(
@@ -243,3 +248,18 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, argv):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "ParseError" in proc.stderr
+
+
+def test_ideal_of_open_carrier_exits_2(tmp_path):
+    # {2, 4} in Z is not closed; the ideal search must stop at 2 * 4 = 8
+    carrier = _write(tmp_path / "carrier.txt", "[2]\n[4]\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "natprod", "analyze", "ideal", carrier, "[2]", "--domain", "Z"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "NotMember" in proc.stderr and "= [8]" in proc.stderr

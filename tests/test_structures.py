@@ -1,6 +1,10 @@
+import itertools
+import random
+from fractions import Fraction
+
 import pytest
 
-from conftest import row, sq
+from conftest import col, row, sq
 from natprod import (
     ADDITION,
     Carrier,
@@ -34,6 +38,7 @@ from natprod import (
     support,
     zeros,
 )
+from natprod.structures import ASSOC_EXHAUSTIVE_LIMIT, StructureReport
 from natprod.verify import rand_matrix
 
 
@@ -103,6 +108,14 @@ def test_ideal_examples_and_contracts():
         ideal_generated(carrier, Matrix.from_rows([[2, 0, 0, 0], [0, 0, 0, 0]], Z_PLUS))
     with pytest.raises(UnsupportedDomain):
         ideal_generated(Carrier.masks(Shape(1, 2), op=ADDITION), ones(Shape(1, 2), Z_PLUS))
+
+
+def test_ideal_refuses_a_product_outside_the_carrier():
+    # {1, 2} in Z_6 is not closed: 2 * 2 = 4 must not be reported as a member
+    carrier = Carrier.explicit([row([1], Mod(6)), row([2], Mod(6))])
+    with pytest.raises(NotMember) as info:
+        ideal_generated(carrier, row([1], Mod(6)))
+    assert "[2] * [2] = [4]" in str(info.value)
 
 
 def test_ideal_is_ideal_and_subsemigroup():
@@ -267,3 +280,186 @@ def test_report_serialization_deterministic():
     assert first == second
     assert "idempotent_count" in report.to_json()
     assert report.table()
+
+
+# -- reference: the direct-product loops the product table replaced ----------
+
+
+def _ref_support_key(m):
+    return (-support(m).popcount, m.values)
+
+
+def _ref_maximal_subgroup(elements, op, e):
+    candidates = [a for a in elements if op(a, e) == a]
+    members = [a for a in candidates if any(op(a, b) == e for b in candidates)]
+    return sorted(members, key=lambda m: m.values)
+
+
+def _ref_cyclic_subgroup(elements, op, e, a):
+    seen = [e]
+    current = a
+    element_set = set(elements)
+    while current != e:
+        if current not in element_set or current in seen:
+            return None
+        seen.append(current)
+        current = op(current, a)
+    return sorted(seen, key=lambda m: m.values)
+
+
+def _ref_smarandache_witness(elements, op, subgroups):
+    whole = len(elements)
+    for e, h in subgroups:
+        if len(h) < 2:
+            continue
+        if len(h) < whole:
+            return tuple(h)
+        for a in elements:
+            if a == e:
+                continue
+            cyc = _ref_cyclic_subgroup(elements, op, e, a)
+            if cyc is not None and 2 <= len(cyc) < whole:
+                return tuple(cyc)
+    return None
+
+
+def _ref_is_smarandache(carrier):
+    elements = carrier.elements()
+    op = carrier.apply
+    idempotents = [a for a in elements if op(a, a) == a]
+    subgroups = [
+        (e, tuple(_ref_maximal_subgroup(elements, op, e)))
+        for e in sorted(idempotents, key=_ref_support_key)
+    ]
+    return _ref_smarandache_witness(elements, op, subgroups)
+
+
+def _ref_analyze(carrier, seed, samples=400):
+    elements = carrier.elements(1024)
+    element_set = set(elements)
+    op = carrier.apply
+    n = len(elements)
+
+    closed, closure_witness = True, None
+    commutative, commutativity_witness = True, None
+    products = {}
+    for a in elements:
+        for b in elements:
+            ab = op(a, b)
+            products[(a, b)] = ab
+            if closed and ab not in element_set:
+                closed, closure_witness = False, (a, b)
+    for a, b in itertools.combinations(elements, 2):
+        if products[(a, b)] != products[(b, a)]:
+            commutative, commutativity_witness = False, (a, b)
+            break
+
+    associative, associativity_witness = True, None
+    if n <= ASSOC_EXHAUSTIVE_LIMIT:
+        mode = "exhaustive"
+        for a, b, c in itertools.product(elements, repeat=3):
+            if op(products[(a, b)], c) != op(a, products[(b, c)]):
+                associative, associativity_witness = False, (a, b, c)
+                break
+    else:
+        rng = random.Random(seed)
+        mode = f"sampled({samples})"
+        for _ in range(samples):
+            a, b, c = (rng.choice(elements) for _ in range(3))
+            if op(op(a, b), c) != op(a, op(b, c)):
+                associative, associativity_witness = False, (a, b, c)
+                break
+
+    identity = None
+    for e in elements:
+        if all(products[(e, a)] == a and products[(a, e)] == a for a in elements):
+            identity = e
+            break
+    idempotents = tuple(a for a in elements if products[(a, a)] == a)
+    zero_divisor_pairs = ()
+    if carrier.op != ADDITION:
+        zero = zeros(carrier.shape, carrier.domain)
+        zero_divisor_pairs = tuple(
+            (a, b)
+            for a in elements
+            for b in elements
+            if not a.is_zero() and not b.is_zero() and products[(a, b)] == zero
+        )
+    subgroups = [
+        (e, tuple(_ref_maximal_subgroup(elements, op, e)))
+        for e in sorted(idempotents, key=_ref_support_key)
+    ]
+    return StructureReport(
+        carrier=carrier,
+        closed=closed,
+        closure_witness=closure_witness,
+        associative=associative,
+        associativity_mode=mode,
+        associativity_witness=associativity_witness,
+        commutative=commutative,
+        commutativity_witness=commutativity_witness,
+        identity=identity,
+        idempotents=idempotents,
+        zero_divisor_pairs=zero_divisor_pairs,
+        max_subgroups=tuple(subgroups),
+        smarandache=_ref_smarandache_witness(elements, op, subgroups),
+    )
+
+
+def _ref_ideal(carrier, x):
+    elements = carrier.elements()
+    ideal, frontier = {x}, [x]
+    while frontier:
+        frontier = [p for p in {f * s for f in frontier for s in elements} if p not in ideal]
+        ideal.update(frontier)
+    return tuple(sorted(ideal, key=lambda m: m.values))
+
+
+def _sign_group(k):
+    return Carrier.explicit(col(signs, Z) for signs in itertools.product((1, -1), repeat=k))
+
+
+def _random_explicit(seed, members=8, n=6):
+    rng = random.Random(seed)
+    values = set()
+    while len(values) < members:
+        values.add(tuple(rng.randrange(n) for _ in range(4)))
+    return Carrier.explicit(sq([list(v[:2]), list(v[2:])], Mod(n)) for v in values)
+
+
+REFERENCE_CARRIERS = {
+    "masks:2x2": Carrier.masks(Shape(2, 2)),
+    "masks:2x2:add": Carrier.masks(Shape(2, 2), op=ADDITION),
+    "all:1x2:Zn:6": Carrier.all_matrices(Shape(1, 2), Mod(6)),
+    "all:1x2:Zn:4:add": Carrier.all_matrices(Shape(1, 2), Mod(4), op=ADDITION),
+    "all:1x3:Zn:3": Carrier.all_matrices(Shape(1, 3), Mod(3)),
+    # 64 elements: the last exhaustive size; 81: sampled
+    "masks:1x6": Carrier.masks(Shape(1, 6)),
+    "all:1x2:Zn:5:add": Carrier.all_matrices(Shape(1, 2), Mod(5), op=ADDITION),
+    "all:2x2:Zn:3": Carrier.all_matrices(Shape(2, 2), Mod(3)),
+    "all:1x4:Zn:3:add": Carrier.all_matrices(Shape(1, 4), Mod(3), op=ADDITION),
+    "explicit:2,4:Z": Carrier.explicit([row([2], Z), row([4], Z)]),
+    "explicit:1,2:Zn:6": Carrier.explicit([row([1], Mod(6)), row([2], Mod(6))]),
+    "explicit:random:Zn:6": _random_explicit(3),
+    "explicit:random:Zn:6:add": Carrier.explicit(_random_explicit(4).members, op=ADDITION),
+    # the whole carrier is its unit group, but <-2> leaves it before <-1> closes
+    "explicit:-2,-1,-1/2,1:Q": Carrier.explicit(row([v]) for v in (-2, -1, Fraction(-1, 2), 1)),
+    "signs:2": _sign_group(2),
+    "signs:3": _sign_group(3),
+    "signs:3:add": Carrier.explicit(_sign_group(3).members, op=ADDITION),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CARRIERS))
+def test_product_table_matches_direct_products(name):
+    carrier = REFERENCE_CARRIERS[name]
+    # the seed drives sampled associativity only
+    for seed in (0, 1) if carrier.cardinality() > ASSOC_EXHAUSTIVE_LIMIT else (0,):
+        got, want = analyze(carrier, seed=seed), _ref_analyze(carrier, seed)
+        assert got.to_json() == want.to_json()
+        assert got.table() == want.table()
+        assert got.smarandache == want.smarandache
+    assert is_smarandache(carrier) == _ref_is_smarandache(carrier)
+    if carrier.op != ADDITION and want.closed:
+        for x in carrier.elements()[::7]:
+            assert ideal_generated(carrier, x).members == _ref_ideal(carrier, x)
