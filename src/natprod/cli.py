@@ -158,11 +158,11 @@ def _cmd_eval(args):
         payload = json.dumps({"orthogonal": flag}) if fmt == "json" else str(flag).lower()
         return RunReport(0 if flag else 1, payload)
     if args.subverb == "divides":
-        quotient = divides(a.base, b.base)
+        quotient = divides(a, b)
         if quotient is None:
             payload = json.dumps({"divides": False}) if fmt == "json" else "none"
             return RunReport(1, payload)
-        return RunReport(0, _emit_matrix(quotient.with_partition(a.partition), fmt))
+        return RunReport(0, _emit_matrix(quotient, fmt))
     raise ParseError(f"unknown eval subverb {args.subverb}")
 
 
@@ -235,7 +235,7 @@ def _cmd_poly(args):
     if args.subverb == "int":
         constant = None
         if args.const is not None:
-            constant = _load_matrix(args.const, p.domain).base
+            constant = _load_matrix(args.const, p.domain)
         return RunReport(0, _emit_poly(mp.poly_integrate(p, constant), fmt))
     if args.subverb == "degree":
         degree = p.degree()
@@ -257,6 +257,8 @@ def _parse_carrier(spec, domain):
         if parts[-1] == "add":
             op = st.ADDITION
             parts = parts[:-1]
+        if parts[0] == "masks" and len(parts) > 2:
+            raise ParseError(f"bad carrier spec {spec!r}: expected masks:RxC[:add]")
         try:
             rows, cols = parts[1].lower().split("x")
             shape = _shape((int(rows), int(cols)))
@@ -275,14 +277,22 @@ def _parse_carrier(spec, domain):
     return st.Carrier.explicit(members)
 
 
+def _samples(args, default):
+    """The --samples value (default when absent); at least 1."""
+    if args.samples is None:
+        return default
+    if args.samples < 1:
+        raise ParseError(f"--samples must be at least 1, got {args.samples}")
+    return args.samples
+
+
 def _cmd_analyze(args):
     fmt = args.format
     domain = domain_from_code(args.domain)
     carrier = _parse_carrier(args.inputs[0], domain)
 
     if args.subverb == "carrier":
-        samples = args.samples if args.samples is not None else 400
-        report = st.analyze(carrier, seed=args.seed, samples=samples)
+        report = st.analyze(carrier, seed=args.seed, samples=_samples(args, 400))
         if fmt == "json":
             return RunReport(0, json.dumps(report.to_json(), sort_keys=True))
         return RunReport(0, report.table())
@@ -355,8 +365,7 @@ def _cmd_verify(args):
     if args.suite not in vf.SUITES:
         raise ParseError(f"unknown suite {args.suite!r}")
     if args.suite == "laws":
-        samples = args.samples if args.samples is not None else 10000
-        results = vf.run_laws(seed=args.seed, samples=samples)
+        results = vf.run_laws(seed=args.seed, samples=_samples(args, 10000))
     else:
         results = vf.SUITES[args.suite]()
     failures = [r for r in results if not r.ok]

@@ -5,7 +5,10 @@ stores them plain and keeps the partition once, as `ptype` (None when
 plain).  Multiplication comes in two flavours: the natural-product
 convolution, which is commutative for every shape, and the usual-product
 convolution, defined for square unpartitioned coefficients only and
-noncommutative.  Formal derivative and integral act coefficientwise.
+noncommutative.  Both convolutions lift each polynomial once to integers
+over one common denominator, add integer products per output degree and
+lower each output coefficient once (the kernels of `matrix`).  Formal
+derivative and integral act coefficientwise.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import (
     ConeViolation,
@@ -36,6 +40,9 @@ from .matrix import (
     Matrix,
     PartitionType,
     Shape,
+    _int_matmul,
+    _lift,
+    _lower,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
@@ -183,11 +190,7 @@ class MatPoly:
     def __mul__(self, other):
         """Cauchy convolution with the natural product on coefficients."""
         self._check_peer(other)
-        terms = _sum_by_degree(
-            (i + j, a * b)
-            for i, a in self._terms.items()
-            for j, b in other._terms.items()
-        )
+        terms = _convolve(self, other, lambda a, b: list(map(mul, a, b)))
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __matmul__(self, other):
@@ -197,12 +200,33 @@ class MatPoly:
             raise NotSquare("usual product needs square coefficients")
         if self.ptype is not None:
             raise TypeMismatch("usual product is undefined on partitioned coefficients")
-        terms = _sum_by_degree(
-            (i + j, a @ b)
-            for i, a in self._terms.items()
-            for j, b in other._terms.items()
-        )
+        n = self.shape.rows
+        terms = _convolve(self, other, lambda a, b: _int_matmul(a, b, n, n, n))
         return MatPoly(self.shape, self.domain, terms, self.ptype)
+
+
+def _lift_terms(p):
+    """({degree: ints}, den): every coefficient of p over one denominator."""
+    size = p.shape.size
+    ints, den = _lift([v for coeff in p._terms.values() for v in coeff.values])
+    return {d: ints[i * size : (i + 1) * size] for i, d in enumerate(p._terms)}, den
+
+
+def _convolve(p, q, kernel):
+    """{degree: coefficient} of the convolution of p and q.
+
+    `kernel` multiplies two lifted coefficients into a lifted product.
+    """
+    a, da = _lift_terms(p)
+    b, db = _lift_terms(q)
+    sums = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            product = kernel(x, y)
+            acc = sums.get(i + j)
+            sums[i + j] = product if acc is None else list(map(add, acc, product))
+    den = da * db
+    return {d: _lower(p.shape, p.domain, ints, den) for d, ints in sums.items()}
 
 
 def _sum_by_degree(terms):
@@ -254,6 +278,8 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
         raise ShapeMismatch("integration constant has the wrong shape")
     if constant.domain != domain:
         raise DomainMismatch("integration constant has the wrong domain")
+    if constant.partition is not None and constant.partition != p.ptype:
+        raise TypeMismatch("integration constant carries another partition")
     terms = {}
     for deg, coeff in p._terms.items():
         k = deg + 1

@@ -6,11 +6,18 @@ lives in one coefficient domain (see scalars).  A matrix may carry a
 partition ("super" matrix): row and column cut lines that split it into
 blocks.  Dropping the partition is a homomorphism, so the partition is
 just one more field that `+`, `-` and `*` demand to agree and carry over.
+
+The usual product and the usual inverse run on integers: `_lift` turns a
+matrix into integer numerators over one common denominator, the integer
+kernels work on those, and `_lower` reduces the result once per entry.
 """
 
 from __future__ import annotations
 
 import json
+from fractions import Fraction
+from math import lcm
+from operator import mul
 from typing import NamedTuple
 
 from .errors import (
@@ -266,15 +273,9 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         n, k, m = self.shape.rows, self.shape.cols, other.shape.cols
-        modulus = self.domain.modulus if self.domain.is_modular else None
-        out = []
-        for i in range(n):
-            for j in range(m):
-                acc = sum(
-                    self.values[i * k + t] * other.values[t * m + j] for t in range(k)
-                )
-                out.append(acc % modulus if modulus else acc)
-        return Matrix(Shape(n, m), self.domain, out)
+        a, da = _lift(self.values)
+        b, db = _lift(other.values)
+        return _lower(Shape(n, m), self.domain, _int_matmul(a, b, n, k, m), da * db)
 
     def npow(self, k):
         """k-th power under the natural product (k >= 0)."""
@@ -307,6 +308,43 @@ _new = object.__new__
 _set_shape, _set_domain, _set_values, _set_partition = (
     Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 )
+
+
+# -- integer kernels -------------------------------------------------------
+#
+# A FLINT fmpq_mat-style representation: a matrix over Q is an integer
+# matrix over one denominator.  Z, Z+ and Z_n values are ints already, so
+# their denominator is 1 and the same kernels serve every domain.
+
+
+def _lift(values):
+    """(ints, den): integer numerators over one common denominator."""
+    den = lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_matmul(a, b, n, k, m):
+    """Row-major n x m product of row-major n x k and k x m int lists."""
+    rows = [a[i * k : (i + 1) * k] for i in range(n)]
+    cols = [b[j::m] for j in range(m)]
+    return [sum(map(mul, row, col)) for row in rows for col in cols]
+
+
+def _lower(shape, domain, ints, den):
+    """The plain matrix of `domain` whose entries are ints[i] / den.
+
+    `den` is 1 unless the domain is Q or Q+.
+    """
+    if domain.is_modular:
+        n = domain.modulus
+        values = tuple(v % n for v in ints)
+    elif domain.is_rational:
+        values = tuple(Fraction(v, den) for v in ints)
+    else:
+        values = tuple(ints)
+    return Matrix._make(shape, domain, values)
 
 
 def zeros(shape, domain: Domain) -> Matrix:
@@ -388,7 +426,8 @@ def divides(a: Matrix, b: Matrix):
     """Entrywise divisibility over Z: the quotient matrix, or None.
 
     Every entry of `a` must be nonzero; negative entries divide as usual
-    in Z.
+    in Z.  The operands must share their partition, which the quotient
+    carries.
     """
     if a.domain != Z or b.domain != Z:
         raise DomainMismatch("divides is defined over Z")
@@ -401,7 +440,7 @@ def divides(a: Matrix, b: Matrix):
         if r != 0:
             return None
         quotient.append(q)
-    return Matrix(a.shape, Z, quotient)
+    return Matrix._make(a.shape, Z, tuple(quotient), a.partition)
 
 
 def _is_prime(n):
@@ -714,8 +753,12 @@ def matrix_from_json(obj) -> Matrix:
 
 
 def usual_inverse(a: Matrix) -> Matrix:
-    """Exact Gauss-Jordan inverse of a square rational matrix.
+    """Exact inverse of a square rational matrix by Bareiss elimination.
 
+    Fraction-free Gauss-Jordan (Bareiss 1968) on [A_int | den*I], where
+    A = A_int / den: every step divides exactly by the previous pivot, so
+    all intermediate values stay integers; each entry is divided by the
+    final pivot (the determinant of A_int, up to sign) once at the end.
     Only what monicization of usual-product polynomials needs; raises
     NotInvertible on singular input.
     """
@@ -726,16 +769,20 @@ def usual_inverse(a: Matrix) -> Matrix:
     if not a.domain.is_rational or a.domain.is_cone:
         raise DomainMismatch("usual inverse is computed over Q")
     n = a.shape.rows
-    aug = [list(a.values[i * n : (i + 1) * n]) + [a.domain.one if j == i else a.domain.zero for j in range(n)] for i in range(n)]
+    ints, den = _lift(a.values)
+    aug = [ints[i * n : (i + 1) * n] + [den if j == i else 0 for j in range(n)] for i in range(n)]
+    prev = 1
     for col in range(n):
-        pivot = next((r for r in range(col, n) if aug[r][col] != 0), None)
+        pivot = next((r for r in range(col, n) if aug[r][col]), None)
         if pivot is None:
             raise NotInvertible("singular matrix")
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        factor = aug[col][col]
-        aug[col] = [v / factor for v in aug[col]]
+        top = aug[col]
+        p = top[col]
         for r in range(n):
-            if r != col and aug[r][col] != 0:
+            if r != col:
                 f = aug[r][col]
-                aug[r] = [v - f * w for v, w in zip(aug[r], aug[col])]
-    return Matrix.from_rows([row[n:] for row in aug], a.domain)
+                aug[r] = [(p * v - f * w) // prev for v, w in zip(aug[r], top)]
+        prev = p
+    # the left half is now prev * I
+    return _lower(a.shape, a.domain, [v for row in aug for v in row[n:]], prev)

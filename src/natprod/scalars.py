@@ -93,6 +93,11 @@ class Domain:
 
     def coerce(self, value):
         """Normalize `value` into this domain, validating its constraints."""
+        if type(value) is Fraction and self.is_rational:
+            # already canonical: Fractions are immutable and kept reduced
+            if value < 0 and self.kind == NONNEG_RAT_KIND:
+                raise ConeViolation(f"{value} is negative in {self.code}")
+            return value
         if isinstance(value, Scalar):
             if value.domain != self:
                 raise DomainMismatch(

@@ -80,6 +80,51 @@ def test_mixed_partition_poly_terms_exit_2():
     assert "TypeMismatch" in report.diagnostics
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "carrier", "masks:1x7", "--samples", "-3"),
+        ("analyze", "carrier", "masks:1x2", "--samples", "0"),
+        ("verify", "laws", "--samples", "-3"),
+        ("verify", "laws", "--samples", "0"),
+    ],
+)
+def test_samples_below_one_exit_2(argv):
+    report = run(*argv)
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert "ParseError" in report.diagnostics
+    assert "--samples must be at least 1" in report.diagnostics
+
+
+@pytest.mark.parametrize("spec", ["masks:1x2:foo", "masks:1x2:add:add", "masks:1x2:nproduct"])
+def test_masks_carrier_takes_one_add_suffix_only(spec):
+    report = run("analyze", "carrier", spec)
+    assert report.exit_code == 2
+    assert "ParseError" in report.diagnostics
+    assert run("analyze", "carrier", "masks:1x2:add").exit_code == 0
+
+
+def test_divides_refuses_different_partitions():
+    report = run("eval", "divides", "[1 | 2]", "[2 4]", "--domain", "Z")
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert "TypeMismatch" in report.diagnostics
+    same = run("eval", "divides", "[1 | 2]", "[2 | 4]", "--domain", "Z")
+    assert same.exit_code == 0 and same.payload == "[2 | 2]"
+
+
+def test_poly_int_refuses_a_constant_with_other_cuts():
+    for poly, const in (("[2 4 6] * x", "[5 | 6 7]"), ("[2 | 4 6] * x", "[5 6 | 7]")):
+        report = run("poly", "int", poly, "--const", const, "--domain", "Z")
+        assert report.exit_code == 2
+        assert "TypeMismatch" in report.diagnostics
+    same = run("poly", "int", "[2 | 4 6] * x", "--const", "[5 | 6 7]", "--domain", "Z")
+    assert same.exit_code == 0 and same.payload == "[5 | 6 7] + [1 | 2 3] * x^2"
+    plain = run("poly", "int", "[2 | 4 6] * x", "--const", "[5 6 7]", "--domain", "Z")
+    assert plain.exit_code == 0 and plain.payload == "[5 | 6 7] + [1 | 2 3] * x^2"
+
+
 def test_orth_negative_finding_exits_1():
     assert run("eval", "orth", "[1 0]", "[0 1]").exit_code == 0
     report = run("eval", "orth", "[1 1]", "[0 1]")

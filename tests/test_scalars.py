@@ -133,6 +133,17 @@ def test_cone_violations():
     assert (Scalar(Z_PLUS, 3) - Scalar(Z_PLUS, 2)).value == 1
 
 
+def test_coerce_keeps_a_fraction_as_it_is():
+    half = Fraction(1, 2)
+    assert Q.coerce(half) is half
+    assert Q_PLUS.coerce(half) is half
+    assert Q.coerce(-half) == -half
+    with pytest.raises(ConeViolation, match=r"^-1/2 is negative in Q\+$"):
+        Q_PLUS.coerce(-half)
+    assert type(Q.coerce(3)) is Fraction and type(Q_PLUS.coerce("3")) is Fraction
+    assert Z.coerce(Fraction(4, 2)) == 2 and type(Z.coerce(Fraction(4, 2))) is int
+
+
 @given(st.fractions(min_value=-(10**6), max_value=10**6, max_denominator=10**4))
 def test_rational_normalization(q):
     s = Scalar(Q, q)
