@@ -6,9 +6,11 @@ plain).  Multiplication comes in two flavours: the natural-product
 convolution, which is commutative for every shape, and the usual-product
 convolution, defined for square unpartitioned coefficients only and
 noncommutative.  Both convolutions lift each polynomial once to integers
-over one common denominator, add integer products per output degree and
-lower each output coefficient once (the kernels of `matrix`).  Formal
-derivative and integral act coefficientwise.
+(one denominator per entry position for the natural product, per row of
+the left and per column of the right factor for the usual one), add
+integer products per output degree and lower each output coefficient once
+(the kernels of `matrix`).  Formal derivative and integral act
+coefficientwise.
 """
 
 from __future__ import annotations
@@ -190,7 +192,10 @@ class MatPoly:
     def __mul__(self, other):
         """Cauchy convolution with the natural product on coefficients."""
         self._check_peer(other)
-        terms = _convolve(self, other, lambda a, b: list(map(mul, a, b)))
+        a, da = _lift_entries(self)
+        b, db = _lift_entries(other)
+        dens = list(map(mul, da, db))
+        terms = _convolve(self, a, b, lambda x, y: list(map(mul, x, y)), dens)
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __matmul__(self, other):
@@ -201,32 +206,47 @@ class MatPoly:
         if self.ptype is not None:
             raise TypeMismatch("usual product is undefined on partitioned coefficients")
         n = self.shape.rows
-        terms = _convolve(self, other, lambda a, b: _int_matmul(a, b, n, n, n))
+        a, rd = _lift_lines(self, lambda values, i: values[i * n : (i + 1) * n])
+        b, cd = _lift_lines(other, lambda values, j: values[j::n])
+        dens = [r * c for r in rd for c in cd]
+        terms = _convolve(self, a, b, _int_matmul, dens)
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
 
-def _lift_terms(p):
-    """({degree: ints}, den): every coefficient of p over one denominator."""
-    size = p.shape.size
-    ints, den = _lift([v for coeff in p._terms.values() for v in coeff.values])
-    return {d: ints[i * size : (i + 1) * size] for i, d in enumerate(p._terms)}, den
+def _lift_entries(p):
+    """({degree: ints}, dens): p's coefficients entry by entry, with one
+    denominator per entry position shared by every degree."""
+    ints, dens = _lift(zip(*(c.values for c in p._terms.values())))
+    return dict(zip(p._terms, zip(*ints))), dens
 
 
-def _convolve(p, q, kernel):
-    """{degree: coefficient} of the convolution of p and q.
+def _lift_lines(p, line):
+    """({degree: int lines}, dens): p's square coefficients line by line.
 
-    `kernel` multiplies two lifted coefficients into a lifted product.
+    `line(values, t)` is row or column t of a coefficient; line t of every
+    degree shares one denominator, dens[t].
     """
-    a, da = _lift_terms(p)
-    b, db = _lift_terms(q)
+    n = p.shape.rows
+    ints, dens = _lift(
+        [v for c in p._terms.values() for v in line(c.values, t)] for t in range(n)
+    )
+    cut = {d: [x[k * n : (k + 1) * n] for x in ints] for k, d in enumerate(p._terms)}
+    return cut, dens
+
+
+def _convolve(p, a, b, kernel, dens):
+    """{degree: coefficient} of the convolution of two lifted polynomials.
+
+    `kernel` multiplies a lifted coefficient of `a` by one of `b`; every
+    output coefficient is lowered once, over `dens`, in p's shape and domain.
+    """
     sums = {}
     for i, x in a.items():
         for j, y in b.items():
             product = kernel(x, y)
             acc = sums.get(i + j)
             sums[i + j] = product if acc is None else list(map(add, acc, product))
-    den = da * db
-    return {d: _lower(p.shape, p.domain, ints, den) for d, ints in sums.items()}
+    return {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items()}
 
 
 def _sum_by_degree(terms):
@@ -278,8 +298,6 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
         raise ShapeMismatch("integration constant has the wrong shape")
     if constant.domain != domain:
         raise DomainMismatch("integration constant has the wrong domain")
-    if constant.partition is not None and constant.partition != p.ptype:
-        raise TypeMismatch("integration constant carries another partition")
     terms = {}
     for deg, coeff in p._terms.items():
         k = deg + 1
@@ -304,8 +322,7 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
                     )
                 divided.append(q)
             terms[k] = Matrix(p.shape, domain, divided)
-    if not constant.is_zero():
-        terms[0] = constant
+    terms[0] = constant
     return MatPoly(p.shape, domain, terms, p.ptype)
 
 

@@ -7,15 +7,17 @@ partition ("super" matrix): row and column cut lines that split it into
 blocks.  Dropping the partition is a homomorphism, so the partition is
 just one more field that `+`, `-` and `*` demand to agree and carry over.
 
-The usual product and the usual inverse run on integers: `_lift` turns a
-matrix into integer numerators over one common denominator, the integer
-kernels work on those, and `_lower` reduces the result once per entry.
+The usual product and the usual inverse run on integers: `_lift` turns
+each row or column into integer numerators over that line's least common
+denominator, the integer kernels work on those, and `_lower` reduces the
+result once per entry.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -273,9 +275,10 @@ class Matrix:
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         n, k, m = self.shape.rows, self.shape.cols, other.shape.cols
-        a, da = _lift(self.values)
-        b, db = _lift(other.values)
-        return _lower(Shape(n, m), self.domain, _int_matmul(a, b, n, k, m), da * db)
+        rows, rd = _lift(self.values[i * k : (i + 1) * k] for i in range(n))
+        cols, cd = _lift(other.values[j::m] for j in range(m))
+        dens = [r * c for r in rd for c in cd]
+        return _lower(Shape(n, m), self.domain, _int_matmul(rows, cols), dens)
 
     def npow(self, k):
         """k-th power under the natural product (k >= 0)."""
@@ -312,36 +315,45 @@ _set_shape, _set_domain, _set_values, _set_partition = (
 
 # -- integer kernels -------------------------------------------------------
 #
-# A FLINT fmpq_mat-style representation: a matrix over Q is an integer
-# matrix over one denominator.  Z, Z+ and Z_n values are ints already, so
-# their denominator is 1 and the same kernels serve every domain.
+# A FLINT fmpq_mat-style representation with denominators cleared line by
+# line (as fmpq_mat_mul_cleared does): each row of the left factor and each
+# column of the right one becomes integer numerators over its own least
+# common denominator, so entry (i, j) of a product is an integer over
+# r_i * c_j.  One denominator for the whole matrix would be the lcm of every
+# entry's, which grows without bound when denominators are coprime.  Z, Z+
+# and Z_n values are ints already, so their denominators are 1 and the same
+# kernels serve every domain.
 
 
-def _lift(values):
-    """(ints, den): integer numerators over one common denominator."""
-    den = lcm(*{v.denominator for v in values})
-    if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
+def _lift(lines):
+    """(ints, dens): each line of values as integer numerators over dens[t],
+    the least common denominator of line t."""
+    ints, dens = [], []
+    for line in lines:
+        den = lcm(*{v.denominator for v in line})
+        if den == 1:
+            ints.append([v.numerator for v in line])
+        else:
+            ints.append([v.numerator * (den // v.denominator) for v in line])
+        dens.append(den)
+    return ints, dens
 
 
-def _int_matmul(a, b, n, k, m):
-    """Row-major n x m product of row-major n x k and k x m int lists."""
-    rows = [a[i * k : (i + 1) * k] for i in range(n)]
-    cols = [b[j::m] for j in range(m)]
+def _int_matmul(rows, cols):
+    """Row-major product of int rows and int columns: every row . column."""
     return [sum(map(mul, row, col)) for row in rows for col in cols]
 
 
-def _lower(shape, domain, ints, den):
-    """The plain matrix of `domain` whose entries are ints[i] / den.
+def _lower(shape, domain, ints, dens):
+    """The plain matrix of `domain` whose entries are ints[i] / dens[i].
 
-    `den` is 1 unless the domain is Q or Q+.
+    Every den is 1 unless the domain is Q or Q+.
     """
     if domain.is_modular:
         n = domain.modulus
         values = tuple(v % n for v in ints)
     elif domain.is_rational:
-        values = tuple(Fraction(v, den) for v in ints)
+        values = tuple(map(Fraction, ints, dens))
     else:
         values = tuple(ints)
     return Matrix._make(shape, domain, values)
@@ -755,10 +767,11 @@ def matrix_from_json(obj) -> Matrix:
 def usual_inverse(a: Matrix) -> Matrix:
     """Exact inverse of a square rational matrix by Bareiss elimination.
 
-    Fraction-free Gauss-Jordan (Bareiss 1968) on [A_int | den*I], where
-    A = A_int / den: every step divides exactly by the previous pivot, so
-    all intermediate values stay integers; each entry is divided by the
-    final pivot (the determinant of A_int, up to sign) once at the end.
+    Fraction-free Gauss-Jordan (Bareiss 1968) on [D*A | D], where D is
+    the diagonal of row denominators that makes D*A integral: every step
+    divides exactly by the previous pivot, so all intermediate values stay
+    integers; each entry is divided by the final pivot (the determinant of
+    D*A, up to sign) once at the end.
     Only what monicization of usual-product polynomials needs; raises
     NotInvertible on singular input.
     """
@@ -769,8 +782,11 @@ def usual_inverse(a: Matrix) -> Matrix:
     if not a.domain.is_rational or a.domain.is_cone:
         raise DomainMismatch("usual inverse is computed over Q")
     n = a.shape.rows
-    ints, den = _lift(a.values)
-    aug = [ints[i * n : (i + 1) * n] + [den if j == i else 0 for j in range(n)] for i in range(n)]
+    rows, dens = _lift(a.values[i * n : (i + 1) * n] for i in range(n))
+    aug = [
+        row + [d if j == i else 0 for j in range(n)]
+        for i, (row, d) in enumerate(zip(rows, dens))
+    ]
     prev = 1
     for col in range(n):
         pivot = next((r for r in range(col, n) if aug[r][col]), None)
@@ -785,4 +801,4 @@ def usual_inverse(a: Matrix) -> Matrix:
                 aug[r] = [(p * v - f * w) // prev for v, w in zip(aug[r], top)]
         prev = p
     # the left half is now prev * I
-    return _lower(a.shape, a.domain, [v for row in aug for v in row[n:]], prev)
+    return _lower(a.shape, a.domain, [v for row in aug for v in row[n:]], repeat(prev))

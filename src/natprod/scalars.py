@@ -93,11 +93,6 @@ class Domain:
 
     def coerce(self, value):
         """Normalize `value` into this domain, validating its constraints."""
-        if type(value) is Fraction and self.is_rational:
-            # already canonical: Fractions are immutable and kept reduced
-            if value < 0 and self.kind == NONNEG_RAT_KIND:
-                raise ConeViolation(f"{value} is negative in {self.code}")
-            return value
         if isinstance(value, Scalar):
             if value.domain != self:
                 raise DomainMismatch(
@@ -108,12 +103,14 @@ class Domain:
             return self.parse(value)
         if isinstance(value, bool):
             raise ValueError("booleans are not scalars")
+        # a Fraction is kept as it is: Fractions are immutable and reduced
         if self.kind == RAT_KIND:
             if isinstance(value, (int, Fraction)):
-                return Fraction(value)
+                return value if type(value) is Fraction else Fraction(value)
         elif self.kind == NONNEG_RAT_KIND:
             if isinstance(value, (int, Fraction)):
-                value = Fraction(value)
+                if type(value) is not Fraction:
+                    value = Fraction(value)
                 if value < 0:
                     raise ConeViolation(f"{value} is negative in {self.code}")
                 return value

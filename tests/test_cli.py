@@ -115,7 +115,11 @@ def test_divides_refuses_different_partitions():
 
 
 def test_poly_int_refuses_a_constant_with_other_cuts():
-    for poly, const in (("[2 4 6] * x", "[5 | 6 7]"), ("[2 | 4 6] * x", "[5 6 | 7]")):
+    for poly, const in (
+        ("[2 4 6] * x", "[5 | 6 7]"),
+        ("[2 | 4 6] * x", "[5 6 | 7]"),
+        ("[2 | 4 6] * x", "[0 0 | 0]"),
+    ):
         report = run("poly", "int", poly, "--const", const, "--domain", "Z")
         assert report.exit_code == 2
         assert "TypeMismatch" in report.diagnostics

@@ -24,7 +24,7 @@ from natprod import (
     parse_poly,
     zeros,
 )
-from natprod.matrix import usual_inverse
+from natprod.matrix import _lift, usual_inverse
 
 DOMAINS = [Z, Q, Z_PLUS, Q_PLUS, Mod(7), Mod(12)]
 PRIMES = [10007, 1000003, 2**31 - 1, 2**61 - 1]
@@ -192,6 +192,35 @@ def test_matmul_distinct_prime_denominators():
     product = a @ b
     _assert_same(product, _ref_matmul(a, b))
     assert product.values[0] == Fraction(3, 7)
+
+
+def test_lift_clears_each_line_on_its_own():
+    lines = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(5, PRIMES[2]), 7], [1, -2]]
+    assert _lift(lines) == ([[2, 3], [5, 7 * PRIMES[2]], [1, -2]], [4, PRIMES[2], 1])
+
+
+def _prime_per_line(n, shift):
+    """Invertible n x n over Q, Vandermonde numerators; entry (i, j) has
+    denominator PRIMES[i] times a small prime that depends on j."""
+    small = [2, 3, 5, 7]
+    return _mat(
+        [
+            [Fraction((i + 2 + shift) ** j, PRIMES[i] * small[(j + shift) % 4]) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+def test_kernels_with_a_prime_per_row_and_column():
+    a, b = _prime_per_line(4, 0), _prime_per_line(4, 1)
+    _assert_same(a @ b, _ref_matmul(a, b))
+    _assert_same(b @ a, _ref_matmul(b, a))
+    _assert_same(usual_inverse(a), _ref_usual_inverse(a))
+    p = MatPoly.from_terms([(0, a), (1, b)])
+    q = MatPoly.from_terms([(0, b), (2, a)])
+    _assert_same(p * q, _ref_nmul(p, q))
+    _assert_same(p @ q, _ref_umul(p, q))
+    _assert_same(q @ p, _ref_umul(q, p))
 
 
 # -- usual inverse -----------------------------------------------------------------
