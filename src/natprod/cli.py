@@ -170,6 +170,8 @@ def _solve(p: mp.MatPoly, fmt):
     degree = p.degree()
     if degree is None:
         raise ParseError("cannot solve the zero polynomial")
+    if degree == 0:
+        raise ParseError("cannot solve a constant polynomial")
     supported = set(p._terms)
     # Q keeps the quadratic formula even for a*x^2 + c: its root order and
     # failure text differ from solve_binomial's.

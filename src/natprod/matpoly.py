@@ -43,6 +43,8 @@ from .matrix import (
     PartitionType,
     Shape,
     _int_matmul,
+    _json_cuts,
+    _json_int,
     _lift,
     _lower,
     matrix_from_json,
@@ -541,8 +543,8 @@ def poly_from_json(obj) -> MatPoly:
             obj = json.loads(obj)
         shape = Shape(obj["shape"]["rows"], obj["shape"]["cols"])
         domain = domain_from_code(obj["domain"])
-        ptype = PartitionType(shape, obj.get("row_cuts", ()), obj.get("col_cuts", ()))
-        terms = [(t["deg"], matrix_from_json(t["coeff"])) for t in obj["terms"]]
+        ptype = PartitionType(shape, *_json_cuts(obj))
+        terms = [(_json_int(t["deg"], "deg"), matrix_from_json(t["coeff"])) for t in obj["terms"]]
         return MatPoly(shape, domain, _sum_by_degree(terms), ptype)
     except JSON_INPUT_ERRORS as exc:
         raise ParseError(f"malformed polynomial JSON: {exc!r}") from None

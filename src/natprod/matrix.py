@@ -727,6 +727,20 @@ def parse_matrix(text: str, domain: Domain = Q) -> Matrix:
 JSON_INPUT_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 
 
+def _json_int(value, what):
+    """`value` if it is a JSON integer; floats, strings and booleans are refused."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _json_cuts(obj):
+    """(row_cuts, col_cuts) of a JSON object, each cut a JSON integer."""
+    return tuple(
+        [_json_int(c, key) for c in obj.get(key, ())] for key in ("row_cuts", "col_cuts")
+    )
+
+
 def matrix_to_json(a: Matrix) -> dict:
     """Canonical JSON form; cut lists only when the matrix is partitioned."""
     render = a.domain.render
@@ -753,9 +767,7 @@ def matrix_from_json(obj) -> Matrix:
             obj = json.loads(obj)
         domain = domain_from_code(obj["domain"])
         rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
-        m = Matrix.from_rows(
-            rows, domain, obj.get("row_cuts", ()), obj.get("col_cuts", ())
-        )
+        m = Matrix.from_rows(rows, domain, *_json_cuts(obj))
         declared = Shape(obj["rows"], obj["cols"])
     except JSON_INPUT_ERRORS as exc:
         raise ParseError(f"malformed matrix JSON: {exc!r}") from None

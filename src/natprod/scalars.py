@@ -197,6 +197,8 @@ class Domain:
             if int(den) == 0:
                 raise ParseError(f"zero denominator in {text!r}")
             value = Fraction(int(num), int(den))
+            if value.denominator != 1 and not self.is_rational:
+                raise ParseError(f"{text} is not an integer in {self.code}")
         else:
             value = int(text)
         return self.coerce(value)

@@ -5,6 +5,13 @@ registry of fixed worked computations bit-exactly; `laws` runs the seeded
 sampled algebraic-law checks; `census` runs the counting identities (mask
 idempotent counts, ideal orders, modular idempotent counts) against
 brute-force enumeration.
+
+The worked examples are written in the CLI's own syntax: matrix literals
+(`[1 2 | 3;4 5 | 6]`, cuts as `|` and `--`) through `parse_literal`,
+polynomials (`[1 2] + [3 4] * x^2`) through `parse_poly`, and masks as the
+`support` of a literal.  Each literal is parsed inside its case when the
+suite runs, never at import, so every worked example also exercises the
+parser the CLI uses.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ from .errors import (
     SingularLead,
     ZeroDivisorEntry,
 )
+from .matpoly import parse_poly
 from .matrix import (
     Matrix,
     PartitionType,
@@ -42,7 +50,6 @@ from .matrix import (
     trivial_idempotent_count,
     trivial_idempotents,
     zero_divisor_witness,
-    zeros,
 )
 from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, dom_inv, dom_mul, is_unit, kth_root
 
@@ -52,18 +59,6 @@ class CaseResult:
     name: str
     ok: bool
     detail: str = ""
-
-
-def _row(values, domain=Q):
-    return Matrix.from_rows([list(values)], domain)
-
-
-def _col(values, domain=Q):
-    return Matrix.from_rows([[v] for v in values], domain)
-
-
-def _sq(rows, domain=Q):
-    return Matrix.from_rows(rows, domain)
 
 
 def _expect(actual, expected, what="value"):
@@ -98,7 +93,7 @@ def _case(name):
 
 @_case("scalar-reciprocal-unit")
 def _scalar_reciprocal():
-    a = Scalar(Q, Fraction(1, 8))
+    a = Scalar(Q, "1/8")
     _expect(dom_mul(a, Scalar(Q, 8)).value, 1, "1/8 * 8")
     _expect(dom_inv(a).value, 8, "inv(1/8)")
 
@@ -117,61 +112,51 @@ def _scalar_sign_units():
 
 @_case("square-matrix-addition")
 def _square_add():
-    a = _sq([[0, 3, -2], [1, 0, 0], [0, 0, 4]])
-    b = _sq([[1, 2, 1], [0, 1, 3], [-6, 1, 2]])
-    _expect(a + b, _sq([[1, 5, -1], [1, 1, 3], [-6, 1, 6]]), "3x3 sum")
+    a = parse_literal("[0 3 -2;1 0 0;0 0 4]")
+    b = parse_literal("[1 2 1;0 1 3;-6 1 2]")
+    _expect(a + b, parse_literal("[1 5 -1;1 1 3;-6 1 6]"), "3x3 sum")
 
 
 @_case("column-natural-product")
 def _column_nproduct():
-    x = _col([7, 2, 0, 1, 5])
-    y = _col([1, 3, 5, 2, 7])
-    _expect(x * y, _col([7, 6, 0, 2, 35]), "5x1 natural product")
+    x = parse_literal("[7;2;0;1;5]")
+    y = parse_literal("[1;3;5;2;7]")
+    _expect(x * y, parse_literal("[7;6;0;2;35]"), "5x1 natural product")
 
 
 @_case("square-natural-vs-usual-product")
 def _square_products():
-    a = _sq([[6, 1, 2], [0, 3, 4], [2, 1, 0]])
-    b = _sq([[3, 0, 1], [2, 1, 0], [0, 1, 2]])
-    _expect(a * b, _sq([[18, 0, 2], [0, 3, 0], [0, 1, 0]]), "natural product")
-    _expect(a @ b, _sq([[20, 3, 10], [6, 7, 8], [8, 1, 2]]), "usual product")
+    a = parse_literal("[6 1 2;0 3 4;2 1 0]")
+    b = parse_literal("[3 0 1;2 1 0;0 1 2]")
+    _expect(a * b, parse_literal("[18 0 2;0 3 0;0 1 0]"), "natural product")
+    _expect(a @ b, parse_literal("[20 3 10;6 7 8;8 1 2]"), "usual product")
     if a * b == a @ b:
         raise AssertionError("the two products should differ here")
 
 
 @_case("usual-product-noncommutative")
 def _usual_noncommutative():
-    m = _sq([[3, 4], [2, 0]])
-    n = _sq([[1, 2], [0, 1]])
-    _expect(m @ n, _sq([[3, 10], [2, 4]]), "M.N")
-    _expect(n @ m, _sq([[7, 4], [2, 0]]), "N.M")
+    m = parse_literal("[3 4;2 0]")
+    n = parse_literal("[1 2;0 1]")
+    _expect(m @ n, parse_literal("[3 10;2 4]"), "M.N")
+    _expect(n @ m, parse_literal("[7 4;2 0]"), "N.M")
     _expect(m * n, n * m, "natural product commutes")
-    _expect(m * n, _sq([[3, 8], [0, 0]]), "M x_n N")
+    _expect(m * n, parse_literal("[3 8;0 0]"), "M x_n N")
 
 
 @_case("entrywise-inverse-4x2")
 def _entrywise_inverse():
-    a = _sq([[3, 4], [5, 8], [1, 9], [4, 7]])
+    a = parse_literal("[3 4;5 8;1 9;4 7]")
     b = natural_inverse(a)
-    expected = Matrix.from_rows(
-        [
-            [Fraction(1, 3), Fraction(1, 4)],
-            [Fraction(1, 5), Fraction(1, 8)],
-            [1, Fraction(1, 9)],
-            [Fraction(1, 4), Fraction(1, 7)],
-        ],
-        Q,
-    )
-    _expect(b, expected, "entrywise inverse")
-    _expect(a * b, ones(a.shape, Q), "a x_n inv(a)")
-    _expect(b * a, ones(a.shape, Q), "inv(a) x_n a")
+    _expect(b, parse_literal("[1/3 1/4;1/5 1/8;1 1/9;1/4 1/7]"), "entrywise inverse")
+    j = parse_literal("[1 1;1 1;1 1;1 1]")
+    _expect(a * b, j, "a x_n inv(a)")
+    _expect(b * a, j, "inv(a) x_n a")
 
 
 @_case("block-row-idempotent")
 def _block_row_idempotent():
-    x = Matrix.from_rows(
-        [[1, 1, 1], [0, 0, 0], [1, 1, 1], [0, 0, 0], [0, 0, 0]], Z_PLUS
-    )
+    x = parse_literal("[1 1 1;0 0 0;1 1 1;0 0 0;0 0 0]", Z_PLUS)
     _expect(is_idempotent(x), True, "x^2 = x")
 
 
@@ -191,70 +176,81 @@ def _mask_census_2x4():
 
 @_case("main-complement-left-column")
 def _main_complement_left():
-    p = _sq([[2, 0], [3, 0]])
-    _expect(main_complement(p), SupportMask(Shape(2, 2), [0, 1, 0, 1]), "main complement")
+    p = parse_literal("[2 0;3 0]")
+    _expect(main_complement(p), support(parse_literal("[0 1;0 1]")), "main complement")
 
 
 @_case("main-complement-extremes")
 def _main_complement_extremes():
-    z = zeros(Shape(2, 3), Q)
-    _expect(main_complement(z), SupportMask(Shape(2, 3), [1] * 6), "zero -> full")
-    full = ones(Shape(2, 3), Q)
-    _expect(main_complement(full), SupportMask(Shape(2, 3), [0] * 6), "full -> zero")
+    z = parse_literal("[0 0 0;0 0 0]")
+    full = parse_literal("[1 1 1;1 1 1]")
+    _expect(main_complement(z), support(full), "zero -> full")
+    _expect(main_complement(full), support(z), "full -> zero")
 
 
 @_case("column-orthogonality")
 def _column_orthogonality():
-    x = _col([1, 2, 3, 0, 0, 0])
-    y = _col([0, 0, 0, 0, 1, 2])
+    x = parse_literal("[1;2;3;0;0;0]")
+    y = parse_literal("[0;0;0;0;1;2]")
     _expect(is_orthogonal(x, y), True, "disjoint supports")
 
 
 @_case("row-orthogonality")
 def _row_orthogonality():
-    x = _row([0, 4, -5, 0, 7])
-    y = _row([1, 0, 0, 8, 0])
+    x = parse_literal("[0 4 -5 0 7]")
+    y = parse_literal("[1 0 0 8 0]")
     _expect(is_orthogonal(x, y), True, "disjoint supports")
 
 
 @_case("entrywise-division")
 def _entrywise_division():
-    x = _row([5, 7, 2, 8], Z)
-    y = _row([10, 14, 8, 8], Z)
-    _expect(divides(x, y), _row([2, 2, 4, 1], Z), "quotient")
-    bad = _row([0, 2, 3, 5, 7, 8], Z)
-    tgt = _row([5, 4, 6, 10, 21, 24], Z)
+    x = parse_literal("[5 7 2 8]", Z)
+    y = parse_literal("[10 14 8 8]", Z)
+    _expect(divides(x, y), parse_literal("[2 2 4 1]", Z), "quotient")
+    bad = parse_literal("[0 2 3 5 7 8]", Z)
+    tgt = parse_literal("[5 4 6 10 21 24]", Z)
     _expect_raises(ZeroDivisorEntry, lambda: divides(bad, tgt), "zero divisor entry")
 
 
 @_case("prime-rows")
 def _prime_rows():
-    _expect(is_prime_row(_row([3, 5, 11, 13], Z)), True, "(3,5,11,13)")
-    _expect(is_prime_row(_row([7, 5, 2, 19, 23, 31], Z)), True, "(7,5,2,...)")
-    _expect(is_prime_row(_row([4, 5], Z)), False, "(4,5)")
+    _expect(is_prime_row(parse_literal("[3 5 11 13]", Z)), True, "(3,5,11,13)")
+    _expect(is_prime_row(parse_literal("[7 5 2 19 23 31]", Z)), True, "(7,5,2,...)")
+    _expect(is_prime_row(parse_literal("[4 5]", Z)), False, "(4,5)")
 
 
 @_case("zero-set-annihilator")
 def _zero_set_annihilator():
-    a = _row([3, 0, 4], Z_PLUS)
+    a = parse_literal("[3 0 4]", Z_PLUS)
     w = zero_divisor_witness(a)
-    _expect(w, _row([0, 1, 0], Z_PLUS), "canonical witness")
+    _expect(w, parse_literal("[0 1 0]", Z_PLUS), "canonical witness")
     _expect((a * w).is_zero(), True, "a x_n w = 0")
-    _expect((a * _row([0, 7, 0], Z_PLUS)).is_zero(), True, "a x_n (0,7,0) = 0")
+    _expect((a * parse_literal("[0 7 0]", Z_PLUS)).is_zero(), True, "a x_n (0,7,0) = 0")
 
 
 @_case("super-addition-cellwise")
 def _super_addition():
-    pt = dict(row_cuts=(2, 4), col_cuts=(2, 4, 6))
-    x = Matrix.from_rows(
-        [[7 * i + j + 1 for j in range(7)] for i in range(5)], Q, **pt
+    x = parse_literal(
+        "[ 1  2 |  3  4 |  5  6 |  7;"
+        "  8  9 | 10 11 | 12 13 | 14; --;"
+        " 15 16 | 17 18 | 19 20 | 21;"
+        " 22 23 | 24 25 | 26 27 | 28; --;"
+        " 29 30 | 31 32 | 33 34 | 35]"
     )
-    y = Matrix.from_rows(
-        [[100 + 7 * i + j for j in range(7)] for i in range(5)], Q, **pt
+    y = parse_literal(
+        "[100 101 | 102 103 | 104 105 | 106;"
+        " 107 108 | 109 110 | 111 112 | 113; --;"
+        " 114 115 | 116 117 | 118 119 | 120;"
+        " 121 122 | 123 124 | 125 126 | 127; --;"
+        " 128 129 | 130 131 | 132 133 | 134]"
     )
     total = x + y
-    expected = Matrix.from_rows(
-        [[7 * i + j + 1 + 100 + 7 * i + j for j in range(7)] for i in range(5)], Q, **pt
+    expected = parse_literal(
+        "[101 103 | 105 107 | 109 111 | 113;"
+        " 115 117 | 119 121 | 123 125 | 127; --;"
+        " 129 131 | 133 135 | 137 139 | 141;"
+        " 143 145 | 147 149 | 151 153 | 155; --;"
+        " 157 159 | 161 163 | 165 167 | 169]"
     )
     _expect(total, expected, "cellwise sums")
     _expect(total.partition, x.partition, "partition preserved")
@@ -262,87 +258,59 @@ def _super_addition():
 
 @_case("super-natural-product-3x5")
 def _super_nproduct():
-    pt = dict(col_cuts=(2, 4))
-    x = Matrix.from_rows(
-        [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5], [0, 1, 2, 7, 1]], Q, **pt
-    )
-    y = Matrix.from_rows(
-        [[0, 1, 2, 3, 5], [9, 0, 1, 3, 4], [7, 2, 3, 1, 2]], Q, **pt
-    )
-    expected = Matrix.from_rows(
-        [[0, 2, 6, 12, 25], [81, 0, 7, 18, 20], [0, 2, 6, 7, 2]], Q, **pt
-    )
+    x = parse_literal("[1 2 | 3 4 | 5;9 8 | 7 6 | 5;0 1 | 2 7 | 1]")
+    y = parse_literal("[0 1 | 2 3 | 5;9 0 | 1 3 | 4;7 2 | 3 1 | 2]")
+    expected = parse_literal("[0 2 | 6 12 | 25;81 0 | 7 18 | 20;0 2 | 6 7 | 2]")
     _expect(x * y, expected, "3x5 super natural product")
 
 
 @_case("super-zero-divisor-6x6")
 def _super_zero_divisor():
-    pt = dict(row_cuts=(1, 3), col_cuts=(3,))
-    x = Matrix.from_rows(
-        [
-            [7, 8, 0, 9, 4, 2],
-            [0, 1, 2, 5, 7, 8],
-            [1, 2, 3, 0, 1, 0],
-            [5, 7, 0, 9, 2, 0],
-            [1, 2, 3, 0, 2, 3],
-            [0, 8, 7, 0, 5, 4],
-        ],
-        Q,
-        **pt,
+    x = parse_literal(
+        "[7 8 0 | 9 4 2; --;"
+        " 0 1 2 | 5 7 8;"
+        " 1 2 3 | 0 1 0; --;"
+        " 5 7 0 | 9 2 0;"
+        " 1 2 3 | 0 2 3;"
+        " 0 8 7 | 0 5 4]"
     )
-    y = Matrix.from_rows(
-        [
-            [0, 0, 9, 0, 0, 0],
-            [7, 0, 0, 0, 0, 0],
-            [0, 0, 0, 6, 0, 8],
-            [0, 0, 6, 0, 0, 2],
-            [0, 0, 0, 6, 0, 0],
-            [5, 0, 0, 7, 0, 0],
-        ],
-        Q,
-        **pt,
+    y = parse_literal(
+        "[0 0 9 | 0 0 0; --;"
+        " 7 0 0 | 0 0 0;"
+        " 0 0 0 | 6 0 8; --;"
+        " 0 0 6 | 0 0 2;"
+        " 0 0 0 | 6 0 0;"
+        " 5 0 0 | 7 0 0]"
     )
     _expect((x * y).is_zero(), True, "6x6 zero divisor")
 
 
 @_case("super-identity-all-ones")
 def _super_identity():
-    pt = dict(col_cuts=(2, 4))
-    x = Matrix.from_rows(
-        [[1, 2, 3, 4, 5], [9, 8, 7, 6, 5], [0, 1, 2, 7, 1]], Q, **pt
-    )
-    j = ones(x.shape, Q).with_partition(x.partition)
+    x = parse_literal("[1 2 | 3 4 | 5;9 8 | 7 6 | 5;0 1 | 2 7 | 1]")
+    j = parse_literal("[1 1 | 1 1 | 1;1 1 | 1 1 | 1;1 1 | 1 1 | 1]")
     _expect(x * j, x, "x x_n J = x")
     _expect(j * x, x, "J x_n x = x")
 
 
 @_case("super-inverse-mixed-row")
 def _super_inverse_row():
-    x = Matrix.from_rows(
-        [[Fraction(1, 8), 7, 5, 3, 2, 4, -1]], Q, col_cuts=(1, 3)
-    )
-    expected = Matrix.from_rows(
-        [[8, Fraction(1, 7), Fraction(1, 5), Fraction(1, 3), Fraction(1, 2), Fraction(1, 4), -1]],
-        Q,
-        col_cuts=(1, 3),
-    )
+    x = parse_literal("[1/8 | 7 5 | 3 2 4 -1]")
     inv = natural_inverse(x)
-    _expect(inv, expected, "entrywise inverse row")
-    _expect(x * inv, ones(x.shape, Q).with_partition(x.partition), "x x_n inv = ones")
+    _expect(inv, parse_literal("[8 | 1/7 1/5 | 1/3 1/2 1/4 -1]"), "entrywise inverse row")
+    _expect(x * inv, parse_literal("[1 | 1 1 | 1 1 1 1]"), "x x_n inv = ones")
 
 
 @_case("super-inverse-zero-entry")
 def _super_inverse_blocked():
-    x = Matrix.from_rows(
-        [[1, 0, 5, 7, 2, 1, 5, 7, -1, 2]], Q, col_cuts=(2, 5)
-    )
+    x = parse_literal("[1 0 | 5 7 2 | 1 5 7 -1 2]")
     _expect_raises(NotInvertible, lambda: natural_inverse(x), "zero entry")
 
 
 @_case("super-sign-self-inverse")
 def _super_self_inverse():
-    x = Matrix.from_rows([[1, -1, 1, 1, -1, -1, -1]], Z, col_cuts=(2, 5))
-    _expect(x * x, ones(x.shape, Z).with_partition(x.partition), "x x_n x = ones")
+    x = parse_literal("[1 -1 | 1 1 -1 | -1 -1]", Z)
+    _expect(x * x, parse_literal("[1 1 | 1 1 1 | 1 1]", Z), "x x_n x = ones")
     _expect(natural_inverse(x), x, "x is its own inverse")
 
 
@@ -359,329 +327,200 @@ def _super_literal():
 
 @_case("row-poly-addition")
 def _row_poly_add():
-    p = mp.MatPoly.from_terms(
-        [(0, _row([0, 2, 1, 0])), (1, _row([7, 0, 1, 2])), (3, _row([1, 1, 1, 1])), (5, _row([0, 1, 2, 0]))]
+    p = parse_poly("[0 2 1 0] + [7 0 1 2] * x + [1 1 1 1] * x^3 + [0 1 2 0] * x^5")
+    q = parse_poly(
+        "[7 8 9 10] + [3 1 0 7] * x + [3 0 1 4] * x^3 + [-4 -2 -3 -4] * x^4"
+        " + [7 1 0 0] * x^5 + [1 2 3 4] * x^8"
     )
-    q = mp.MatPoly.from_terms(
-        [
-            (0, _row([7, 8, 9, 10])),
-            (1, _row([3, 1, 0, 7])),
-            (3, _row([3, 0, 1, 4])),
-            (4, -_row([4, 2, 3, 4])),
-            (5, _row([7, 1, 0, 0])),
-            (8, _row([1, 2, 3, 4])),
-        ]
-    )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, _row([7, 10, 10, 10])),
-            (1, _row([10, 1, 1, 9])),
-            (3, _row([4, 1, 2, 5])),
-            (4, -_row([4, 2, 3, 4])),
-            (5, _row([7, 2, 2, 0])),
-            (8, _row([1, 2, 3, 4])),
-        ]
+    expected = parse_poly(
+        "[7 10 10 10] + [10 1 1 9] * x + [4 1 2 5] * x^3 + [-4 -2 -3 -4] * x^4"
+        " + [7 2 2 0] * x^5 + [1 2 3 4] * x^8"
     )
     _expect(p + q, expected, "row polynomial sum")
 
 
 @_case("row-poly-natural-product")
 def _row_poly_nproduct():
-    p = mp.MatPoly.from_terms(
-        [(0, _row([0, 1, 2])), (1, _row([3, 4, 0])), (2, _row([2, 1, 5])), (3, _row([3, 0, 2]))]
-    )
-    q = mp.MatPoly.from_terms(
-        [(0, _row([6, 0, 2])), (1, _row([0, 1, 4])), (2, _row([3, 1, 0])), (4, _row([1, 2, 3]))]
-    )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, _row([0, 0, 4])),
-            (1, _row([18, 1, 8])),
-            (2, _row([12, 5, 10])),
-            (3, _row([27, 5, 24])),
-            (4, _row([6, 3, 14])),
-            (5, _row([12, 8, 0])),
-            (6, _row([2, 2, 15])),
-            (7, _row([3, 0, 6])),
-        ]
+    p = parse_poly("[0 1 2] + [3 4 0] * x + [2 1 5] * x^2 + [3 0 2] * x^3")
+    q = parse_poly("[6 0 2] + [0 1 4] * x + [3 1 0] * x^2 + [1 2 3] * x^4")
+    expected = parse_poly(
+        "[0 0 4] + [18 1 8] * x + [12 5 10] * x^2 + [27 5 24] * x^3"
+        " + [6 3 14] * x^4 + [12 8 0] * x^5 + [2 2 15] * x^6 + [3 0 6] * x^7"
     )
     _expect(p * q, expected, "row polynomial natural product")
 
 
 @_case("super-square-poly-natural-product")
 def _super_poly_nproduct():
-    pt = PartitionType(Shape(3, 3), col_cuts=(2,))
-
-    def sup(rows):
-        return _sq(rows).with_partition(pt)
-
-    p = mp.MatPoly.from_terms(
-        [
-            (0, sup([[3, 2, 0], [1, 0, 1], [0, 2, 3]])),
-            (1, sup([[7, 5, 1], [0, 1, 2], [0, 0, 3]])),
-            (2, sup([[1, 2, 3], [0, 0, 7], [0, 1, 2]])),
-            (4, sup([[0, 0, 9], [1, 0, 3], [2, 7, 2]])),
-        ]
+    p = parse_poly(
+        "[3 2 | 0;1 0 | 1;0 2 | 3]"
+        " + [7 5 | 1;0 1 | 2;0 0 | 3] * x"
+        " + [1 2 | 3;0 0 | 7;0 1 | 2] * x^2"
+        " + [0 0 | 9;1 0 | 3;2 7 | 2] * x^4"
     )
-    q = mp.MatPoly.from_terms(
-        [
-            (0, sup([[4, 0, 2], [1, 5, 6], [7, 0, 2]])),
-            (2, sup([[1, 2, 3], [4, 5, 6], [7, 8, 9]])),
-            (3, sup([[0, 3, 1], [2, 1, 0], [3, 4, 5]])),
-        ]
+    q = parse_poly(
+        "[4 0 | 2;1 5 | 6;7 0 | 2]"
+        " + [1 2 | 3;4 5 | 6;7 8 | 9] * x^2"
+        " + [0 3 | 1;2 1 | 0;3 4 | 5] * x^3"
     )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, sup([[12, 0, 0], [1, 0, 6], [0, 0, 6]])),
-            (1, sup([[28, 0, 2], [0, 5, 12], [0, 0, 6]])),
-            (2, sup([[7, 4, 6], [4, 0, 48], [0, 16, 31]])),
-            (3, sup([[7, 16, 3], [2, 5, 12], [0, 8, 42]])),
-            (4, sup([[1, 19, 28], [1, 1, 60], [14, 8, 37]])),
-            (5, sup([[0, 6, 3], [0, 0, 0], [0, 4, 10]])),
-            (6, sup([[0, 0, 27], [4, 0, 18], [14, 56, 18]])),
-            (7, sup([[0, 0, 9], [2, 0, 0], [6, 28, 10]])),
-        ]
+    expected = parse_poly(
+        "[12 0 | 0;1 0 | 6;0 0 | 6]"
+        " + [28 0 | 2;0 5 | 12;0 0 | 6] * x"
+        " + [7 4 | 6;4 0 | 48;0 16 | 31] * x^2"
+        " + [7 16 | 3;2 5 | 12;0 8 | 42] * x^3"
+        " + [1 19 | 28;1 1 | 60;14 8 | 37] * x^4"
+        " + [0 6 | 3;0 0 | 0;0 4 | 10] * x^5"
+        " + [0 0 | 27;4 0 | 18;14 56 | 18] * x^6"
+        " + [0 0 | 9;2 0 | 0;6 28 | 10] * x^7"
     )
     product = p * q
     _expect(product, expected, "super square polynomial product")
-    _expect(product.coeff(0), _sq([[12, 0, 0], [1, 0, 6], [0, 0, 6]]), "constant term")
+    _expect(product.coeff(0), parse_literal("[12 0 0;1 0 6;0 0 6]"), "constant term")
 
 
 @_case("square-poly-usual-product")
 def _square_poly_uproduct():
-    p = mp.MatPoly.from_terms(
-        [(0, _sq([[1, 2], [0, 4]])), (1, _sq([[0, 1], [2, 3]])), (2, _sq([[1, 2], [3, 0]]))]
-    )
-    q = mp.MatPoly.from_terms(
-        [(0, _sq([[0, 1], [2, 0]])), (1, _sq([[1, 0], [2, 3]])), (3, _sq([[1, 2], [3, 4]]))]
-    )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, _sq([[4, 1], [8, 0]])),
-            (1, _sq([[7, 6], [14, 14]])),
-            (2, _sq([[6, 4], [8, 12]])),
-            (3, _sq([[12, 16], [15, 16]])),
-            (4, _sq([[3, 4], [11, 16]])),
-            (5, _sq([[7, 10], [3, 6]])),
-        ]
+    p = parse_poly("[1 2;0 4] + [0 1;2 3] * x + [1 2;3 0] * x^2")
+    q = parse_poly("[0 1;2 0] + [1 0;2 3] * x + [1 2;3 4] * x^3")
+    expected = parse_poly(
+        "[4 1;8 0] + [7 6;14 14] * x + [6 4;8 12] * x^2 + [12 16;15 16] * x^3"
+        " + [3 4;11 16] * x^4 + [7 10;3 6] * x^5"
     )
     _expect(p @ q, expected, "square polynomial usual product")
 
 
 @_case("constant-poly-usual-noncommutative")
 def _constant_poly_noncommutative():
-    p = mp.MatPoly.constant(_sq([[3, 4], [2, 0]]))
-    q = mp.MatPoly.constant(_sq([[1, 2], [0, 1]]))
+    p = parse_poly("[3 4;2 0]")
+    q = parse_poly("[1 2;0 1]")
     if p @ q == q @ p:
         raise AssertionError("usual product should not commute here")
 
 
 @_case("row-poly-derivative")
 def _row_poly_derivative():
-    p = mp.MatPoly.from_terms(
-        [
-            (0, _row([2, 0, 1, 0, 1, 5], Z)),
-            (1, _row([3, 2, 1, 0, 0, 0], Z)),
-            (2, _row([0, 1, 0, 2, 0, 4], Z)),
-            (3, _row([0, -2, -3, 0, 0, 0], Z)),
-            (5, _row([8, 0, 7, 0, 1, 0], Z)),
-        ]
+    p = parse_poly(
+        "[2 0 1 0 1 5] + [3 2 1 0 0 0] * x + [0 1 0 2 0 4] * x^2"
+        " + [0 -2 -3 0 0 0] * x^3 + [8 0 7 0 1 0] * x^5",
+        Z,
     )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, _row([3, 2, 1, 0, 0, 0], Z)),
-            (1, _row([0, 2, 0, 4, 0, 8], Z)),
-            (2, _row([0, -6, -9, 0, 0, 0], Z)),
-            (4, _row([40, 0, 35, 0, 5, 0], Z)),
-        ]
+    expected = parse_poly(
+        "[3 2 1 0 0 0] + [0 2 0 4 0 8] * x + [0 -6 -9 0 0 0] * x^2"
+        " + [40 0 35 0 5 0] * x^4",
+        Z,
     )
     _expect(mp.poly_derivative(p), expected, "row polynomial derivative")
 
 
 @_case("square-poly-derivative")
 def _square_poly_derivative():
-    p = mp.MatPoly.from_terms(
-        [
-            (0, _sq([[3, 0], [1, 2]])),
-            (1, _sq([[2, 6], [1, 5]])),
-            (2, _sq([[7, 0], [0, 8]])),
-            (3, -_sq([[3, 1], [0, 0]])),
-            (4, _sq([[8, 1], [0, 1]])),
-            (5, -_sq([[0, 4], [-2, 0]])),
-        ]
+    p = parse_poly(
+        "[3 0;1 2] + [2 6;1 5] * x + [7 0;0 8] * x^2 + [-3 -1;0 0] * x^3"
+        " + [8 1;0 1] * x^4 + [0 -4;2 0] * x^5"
     )
-    expected = mp.MatPoly.from_terms(
-        [
-            (0, _sq([[2, 6], [1, 5]])),
-            (1, _sq([[14, 0], [0, 16]])),
-            (2, -_sq([[9, 3], [0, 0]])),
-            (3, _sq([[32, 4], [0, 4]])),
-            (4, -_sq([[0, 20], [-10, 0]])),
-        ]
+    expected = parse_poly(
+        "[2 6;1 5] + [14 0;0 16] * x + [-9 -3;0 0] * x^2 + [32 4;0 4] * x^3"
+        " + [0 -20;10 0] * x^4"
     )
     _expect(mp.poly_derivative(p), expected, "square polynomial derivative")
 
 
 @_case("row-poly-integral")
 def _row_poly_integral():
-    p = mp.MatPoly.from_terms(
-        [
-            (0, _row([1, 2, 3, 4, 5])),
-            (1, _row([0, 1, 0, 3, -1])),
-            (2, _row([5, 0, 8, 1, 7])),
-            (3, _row([1, 2, 0, 4, 5])),
-            (4, _row([-2, 1, 4, 3, 0])),
-        ]
+    p = parse_poly(
+        "[1 2 3 4 5] + [0 1 0 3 -1] * x + [5 0 8 1 7] * x^2 + [1 2 0 4 5] * x^3"
+        " + [-2 1 4 3 0] * x^4"
     )
-    half, third, quarter, fifth = (
-        Fraction(1, 2),
-        Fraction(1, 3),
-        Fraction(1, 4),
-        Fraction(1, 5),
-    )
-    expected = mp.MatPoly.from_terms(
-        [
-            (1, _row([1, 2, 3, 4, 5])),
-            (2, _row([0, half, 0, 3 * half, -half])),
-            (3, _row([5 * third, 0, 8 * third, third, 7 * third])),
-            (4, _row([quarter, 2 * quarter, 0, 1, 5 * quarter])),
-            (5, _row([-2 * fifth, fifth, 4 * fifth, 3 * fifth, 0])),
-        ]
+    expected = parse_poly(
+        "[1 2 3 4 5] * x + [0 1/2 0 3/2 -1/2] * x^2 + [5/3 0 8/3 1/3 7/3] * x^3"
+        " + [1/4 1/2 0 1 5/4] * x^4 + [-2/5 1/5 4/5 3/5 0] * x^5"
     )
     _expect(mp.poly_integrate(p), expected, "row polynomial integral")
 
 
 @_case("integer-poly-integral-not-closed")
 def _integral_not_closed():
-    terms = [
-        (0, [3, 8, 4, 0]),
-        (1, [2, 0, 4, 9]),
-        (2, [1, 2, 1, 1]),
-        (3, [1, 0, 1, 1]),
-        (5, [3, 4, 8, 9]),
-    ]
-    p_int = mp.MatPoly.from_terms([(d, _row(v, Z)) for d, v in terms])
+    text = (
+        "[3 8 4 0] + [2 0 4 9] * x + [1 2 1 1] * x^2 + [1 0 1 1] * x^3"
+        " + [3 4 8 9] * x^5"
+    )
+    p_int = parse_poly(text, Z)
     _expect_raises(NotClosed, lambda: mp.poly_integrate(p_int), "integral over Z")
-    p_rat = mp.MatPoly.from_terms([(d, _row(v, Q)) for d, v in terms])
+    p_rat = parse_poly(text)
     integral = mp.poly_integrate(p_rat)
     _expect(mp.poly_derivative(integral), p_rat, "derivative of integral over Q")
 
 
 @_case("poly-degrees")
 def _poly_degrees():
-    p = mp.MatPoly.from_terms(
-        [
-            (0, _sq([[3, 0], [-1, 2]])),
-            (2, _sq([[1, 0], [0, 2]])),
-            (3, _sq([[0, 1], [0, 3]])),
-            (5, _sq([[1, 0], [4, 0]])),
-            (8, _sq([[1, 4], [0, 0]])),
-            (9, _sq([[0, 0], [1, 2]])),
-            (10, _sq([[0, 1], [5, 0]])),
-        ]
+    p = parse_poly(
+        "[3 0;-1 2] + [1 0;0 2] * x^2 + [0 1;0 3] * x^3 + [1 0;4 0] * x^5"
+        " + [1 4;0 0] * x^8 + [0 0;1 2] * x^9 + [0 1;5 0] * x^10"
     )
     _expect(mp.poly_degree(p), 10, "degree of the 2x2 example")
-    q = mp.MatPoly.from_terms(
-        [
-            (0, _sq([[3, 1, 2], [0, 1, 5], [0, 0, 1]])),
-            (2, _sq([[7, 2, 1], [0, 5, 7], [6, 1, 2]])),
-            (4, _sq([[2, 0, 1], [0, 7, 4], [0, 1, 0]])),
-            (8, _sq([[2, 1, 5], [6, 7, 8], [0, 1, 2]])),
-        ]
+    q = parse_poly(
+        "[3 1 2;0 1 5;0 0 1] + [7 2 1;0 5 7;6 1 2] * x^2"
+        " + [2 0 1;0 7 4;0 1 0] * x^4 + [2 1 5;6 7 8;0 1 2] * x^8"
     )
     _expect(mp.poly_degree(q), 8, "degree of the 3x3 example")
-    _expect(mp.poly_degree(mp.MatPoly.zero(Shape(1, 2), Q)), None, "zero polynomial")
+    _expect(mp.poly_degree(parse_poly("[0 0]")), None, "zero polynomial")
 
 
 @_case("row-poly-monicize")
 def _row_poly_monicize():
-    q = mp.MatPoly.from_terms(
-        [
-            (5, _row([5, 7, 8, -4])),
-            (3, _row([1, 2, 3, 0])),
-            (1, _row([7, 0, 1, 5])),
-            (0, _row([8, 9, 0, 2])),
-        ]
-    )
-    expected = mp.MatPoly.from_terms(
-        [
-            (5, _row([1, 1, 1, 1])),
-            (3, _row([Fraction(1, 5), Fraction(2, 7), Fraction(3, 8), 0])),
-            (1, _row([Fraction(7, 5), 0, Fraction(1, 8), Fraction(-5, 4)])),
-            (0, _row([Fraction(8, 5), Fraction(9, 7), 0, Fraction(-1, 2)])),
-        ]
+    q = parse_poly("[5 7 8 -4] * x^5 + [1 2 3 0] * x^3 + [7 0 1 5] * x + [8 9 0 2]")
+    expected = parse_poly(
+        "[1 1 1 1] * x^5 + [1/5 2/7 3/8 0] * x^3 + [7/5 0 1/8 -5/4] * x"
+        " + [8/5 9/7 0 -1/2]"
     )
     _expect(mp.monicize_natural(q), expected, "monic under the natural product")
 
 
 @_case("row-poly-monicize-blocked")
 def _row_poly_monicize_blocked():
-    p = mp.MatPoly.from_terms(
-        [
-            (4, _row([0, 3, 0, 0])),
-            (3, _row([1, 2, 3, 4])),
-            (1, _row([2, 0, 0, 1])),
-            (0, _row([1, 2, 0, 5])),
-        ]
-    )
+    p = parse_poly("[0 3 0 0] * x^4 + [1 2 3 4] * x^3 + [2 0 0 1] * x + [1 2 0 5]")
     _expect_raises(NotMonicizable, lambda: mp.monicize_natural(p), "zero in the lead")
 
 
 @_case("square-poly-monicize-usual")
 def _square_poly_monicize_usual():
-    p = mp.MatPoly.from_terms(
-        [
-            (5, _sq([[7, 0], [0, 8]])),
-            (4, _sq([[1, 8], [7, 5]])),
-            (3, _sq([[0, 1], [2, 0]])),
-            (2, _sq([[0, 1], [1, 0]])),
-            (0, _sq([[1, 0], [2, 5]])),
-        ]
+    p = parse_poly(
+        "[7 0;0 8] * x^5 + [1 8;7 5] * x^4 + [0 1;2 0] * x^3 + [0 1;1 0] * x^2"
+        " + [1 0;2 5]"
     )
-    s7, s8 = Fraction(1, 7), Fraction(1, 8)
-    expected = mp.MatPoly.from_terms(
-        [
-            (5, _sq([[1, 0], [0, 1]])),
-            (4, _sq([[s7, 8 * s7], [7 * s8, 5 * s8]])),
-            (3, _sq([[0, s7], [Fraction(1, 4), 0]])),
-            (2, _sq([[0, s7], [s8, 0]])),
-            (0, _sq([[s7, 0], [Fraction(1, 4), 5 * s8]])),
-        ]
+    expected = parse_poly(
+        "[1 0;0 1] * x^5 + [1/7 8/7;7/8 5/8] * x^4 + [0 1/7;1/4 0] * x^3"
+        " + [0 1/7;1/8 0] * x^2 + [1/7 0;1/4 5/8]"
     )
     _expect(mp.monicize_usual(p), expected, "monic under the usual product")
 
 
 @_case("square-poly-monicize-singular")
 def _square_poly_monicize_singular():
-    p = mp.MatPoly.from_terms(
-        [
-            (7, _sq([[3, 0], [1, 0]])),
-            (3, _sq([[2, 1], [5, 7]])),
-            (2, _sq([[8, 1], [0, 5]])),
-            (1, _sq([[18, 7], [0, 2]])),
-            (0, _sq([[1, 2], [3, 4]])),
-        ]
+    p = parse_poly(
+        "[3 0;1 0] * x^7 + [2 1;5 7] * x^3 + [8 1;0 5] * x^2 + [18 7;0 2] * x"
+        " + [1 2;3 4]"
     )
     _expect_raises(SingularLead, lambda: mp.monicize_usual(p), "singular lead")
 
 
 @_case("cube-root-equation")
 def _cube_root_equation():
-    roots = mp.solve_binomial(_row([1, 1, 1]), _row([27, 8, 125]), 3)
-    _expect(tuple(roots), (_row([3, 2, 5]),), "cube roots")
+    roots = mp.solve_binomial(parse_literal("[1 1 1]"), parse_literal("[27 8 125]"), 3)
+    _expect(tuple(roots), (parse_literal("[3 2 5]"),), "cube roots")
 
 
 @_case("square-root-equation")
 def _square_root_equation():
-    roots = mp.solve_binomial(_row([1, 1, 1, 1]), _row([4, 9, 25, 4]), 2)
-    r = _row([2, 3, 5, 2])
-    _expect(tuple(roots), (r, -r), "aligned root pair")
+    roots = mp.solve_binomial(parse_literal("[1 1 1 1]"), parse_literal("[4 9 25 4]"), 2)
+    pair = (parse_literal("[2 3 5 2]"), parse_literal("[-2 -3 -5 -2]"))
+    _expect(tuple(roots), pair, "aligned root pair")
     _expect(roots.componentwise_signs, True, "componentwise flag")
 
 
 @_case("imaginary-root-rejected")
 def _imaginary_root():
-    roots = mp.solve_binomial(_row([1, 1, 1, 1]), -_row([4, 9, 25, 4]), 2)
+    roots = mp.solve_binomial(parse_literal("[1 1 1 1]"), parse_literal("[-4 -9 -25 -4]"), 2)
     _expect(len(roots), 0, "no real root")
     if not roots.reason or "NoRationalRoot" not in roots.reason:
         raise AssertionError(f"expected a NoRationalRoot reason, got {roots.reason!r}")
@@ -689,53 +528,35 @@ def _imaginary_root():
 
 @_case("coincident-quadratic-roots")
 def _coincident_quadratic():
-    j = _row([1, 1, 1, 1])
-    four = _row([4, 4, 4, 4])
-    roots = mp.solve_quadratic(j, four, four)
-    _expect(tuple(roots), (-_row([2, 2, 2, 2]),), "double root")
+    four = parse_literal("[4 4 4 4]")
+    roots = mp.solve_quadratic(parse_literal("[1 1 1 1]"), four, four)
+    _expect(tuple(roots), (parse_literal("[-2 -2 -2 -2]"),), "double root")
 
 
 @_case("difference-of-squares-quadratic")
 def _difference_of_squares():
-    j = _row([1, 1, 1, 1, 1])
-    zero = zeros(Shape(1, 5), Q)
-    roots = mp.solve_quadratic(j, zero, -_row([4, 9, 16, 25, 81]))
-    r = _row([2, 3, 4, 5, 9])
-    _expect(tuple(roots), (r, -r), "aligned root pair")
+    roots = mp.solve_quadratic(
+        parse_literal("[1 1 1 1 1]"),
+        parse_literal("[0 0 0 0 0]"),
+        parse_literal("[-4 -9 -16 -25 -81]"),
+    )
+    pair = (parse_literal("[2 3 4 5 9]"), parse_literal("[-2 -3 -4 -5 -9]"))
+    _expect(tuple(roots), pair, "aligned root pair")
 
 
 @_case("triple-root-evaluation")
 def _triple_root_evaluation():
-    p = mp.MatPoly.from_terms(
-        [
-            (3, _row([1, 1, 1])),
-            (2, -_row([6, 3, 9])),
-            (1, _row([12, 3, 27])),
-            (0, -_row([8, 1, 27])),
-        ]
-    )
-    value = mp.poly_evaluate_natural(p, _row([2, 1, 3]))
-    _expect(value, zeros(Shape(1, 3), Q), "triple root evaluates to zero")
+    p = parse_poly("[1 1 1] * x^3 + [-6 -3 -9] * x^2 + [12 3 27] * x + [-8 -1 -27]")
+    value = mp.poly_evaluate_natural(p, parse_literal("[2 1 3]"))
+    _expect(value, parse_literal("[0 0 0]"), "triple root evaluates to zero")
 
 
 @_case("row-poly-zero-divisor")
 def _row_poly_zero_divisor():
-    p = mp.MatPoly.from_terms(
-        [
-            (0, _row([3, 2, 0, 0, 0])),
-            (1, _row([6, 3, 0, 0, 0])),
-            (2, _row([7, 0, 0, 0, 0])),
-            (4, _row([8, 1, 0, 0, 0])),
-        ]
-    )
-    q = mp.MatPoly.from_terms(
-        [
-            (0, _row([0, 0, 1, 2, 3])),
-            (2, _row([0, 0, 0, 4, 2])),
-            (3, _row([0, 0, 0, 1, 4])),
-            (4, _row([0, 0, 0, 3, 4])),
-            (7, _row([0, 0, 0, 5, 2])),
-        ]
+    p = parse_poly("[3 2 0 0 0] + [6 3 0 0 0] * x + [7 0 0 0 0] * x^2 + [8 1 0 0 0] * x^4")
+    q = parse_poly(
+        "[0 0 1 2 3] + [0 0 0 4 2] * x^2 + [0 0 0 1 4] * x^3 + [0 0 0 3 4] * x^4"
+        " + [0 0 0 5 2] * x^7"
     )
     _expect((p * q).is_zero(), True, "disjoint supports annihilate")
 
@@ -747,7 +568,7 @@ def _mask_carrier_analysis():
     _expect(report.closed, True, "closed under x_n")
     _expect(report.associative, True, "associative")
     _expect(report.commutative, True, "commutative")
-    _expect(report.identity, ones(Shape(2, 2), Z_PLUS), "identity J")
+    _expect(report.identity, parse_literal("[1 1;1 1]", Z_PLUS), "identity J")
     _expect(len(report.idempotents), 16, "every mask idempotent")
     additive = st.analyze(st.Carrier.masks(Shape(2, 2), op=st.ADDITION))
     _expect(additive.closed, False, "masks are not closed under +")
@@ -756,14 +577,15 @@ def _mask_carrier_analysis():
 @_case("sign-vector-group")
 def _sign_vector_group():
     vectors = [
-        Matrix.from_rows([[a], [b], [c]], Z)
-        for a in (1, -1)
-        for b in (1, -1)
-        for c in (1, -1)
+        parse_literal(text, Z)
+        for text in (
+            "[1;1;1]", "[1;1;-1]", "[1;-1;1]", "[1;-1;-1]",
+            "[-1;1;1]", "[-1;1;-1]", "[-1;-1;1]", "[-1;-1;-1]",
+        )
     ]
     report = st.analyze(st.Carrier.explicit(vectors))
     _expect(report.closed, True, "closed")
-    _expect(report.identity, ones(Shape(3, 1), Z), "identity")
+    _expect(report.identity, parse_literal("[1;1;1]", Z), "identity")
     groups = dict(report.max_subgroups)
     _expect(len(groups[report.identity]), 8, "a group of order 8")
 
@@ -771,87 +593,81 @@ def _sign_vector_group():
 @_case("mask-ideal-orders")
 def _mask_ideal_orders():
     carrier = st.Carrier.masks(Shape(2, 4))
-    x = Matrix.from_rows([[1, 1, 1, 1], [0, 0, 0, 0]], Z_PLUS)
+    x = parse_literal("[1 1 1 1;0 0 0 0]", Z_PLUS)
     _expect(st.ideal_generated(carrier, x).cardinality, 16, "order 16 ideal")
-    y = Matrix.from_rows([[1, 1, 1, 0], [1, 1, 1, 0]], Z_PLUS)
+    y = parse_literal("[1 1 1 0;1 1 1 0]", Z_PLUS)
     _expect(st.ideal_generated(carrier, y).cardinality, 64, "order 2^6 ideal")
-    zero = zeros(Shape(2, 4), Z_PLUS)
+    zero = parse_literal("[0 0 0 0;0 0 0 0]", Z_PLUS)
     _expect(st.ideal_generated(carrier, zero).members, (zero,), "zero ideal")
-    j = ones(Shape(2, 4), Z_PLUS)
+    j = parse_literal("[1 1 1 1;1 1 1 1]", Z_PLUS)
     _expect(st.ideal_generated(carrier, j).cardinality, 256, "total ideal")
 
 
 @_case("sign-pair-smarandache")
 def _sign_pair_smarandache():
-    j = ones(Shape(3, 1), Z)
-    carrier = st.Carrier.explicit([zeros(Shape(3, 1), Z), j, -j, j.scale(2)])
+    j = parse_literal("[1;1;1]", Z)
+    minus_j = parse_literal("[-1;-1;-1]", Z)
+    carrier = st.Carrier.explicit(
+        [parse_literal("[0;0;0]", Z), j, minus_j, parse_literal("[2;2;2]", Z)]
+    )
     witness = st.is_smarandache(carrier)
     if witness is None:
         raise AssertionError("expected a subgroup witness")
-    _expect(set(witness), {j, -j}, "subgroup of order 2")
+    _expect(set(witness), {j, minus_j}, "subgroup of order 2")
 
 
 @_case("diagonal-support-orthogonal-space")
 def _diag_orthogonal_space():
-    x = _sq([[3, 0], [0, 5]])
+    x = parse_literal("[3 0;0 5]")
     space = st.orthogonal_space(x)
-    _expect(space.mask, SupportMask(Shape(2, 2), [0, 1, 1, 0]), "anti-diagonal mask")
-    member = _sq([[0, 4], [7, 0]])
+    _expect(space.mask, support(parse_literal("[0 1;1 0]")), "anti-diagonal mask")
+    member = parse_literal("[0 4;7 0]")
     _expect(space.contains(member), True, "membership")
     _expect((x * member).is_zero(), True, "orthogonality")
 
 
 @_case("orthogonal-space-extremes")
 def _orthogonal_space_extremes():
-    z = zeros(Shape(2, 3), Q)
+    z = parse_literal("[0 0 0;0 0 0]")
     _expect(st.orthogonal_space(z).mask.is_full(), True, "zero -> everything")
-    full = ones(Shape(2, 3), Q)
+    full = parse_literal("[1 1 1;1 1 1]")
     _expect(st.orthogonal_space(full).mask.is_zero(), True, "full support -> only zero")
 
 
 @_case("bottom-row-complement")
 def _bottom_row_complement():
-    shape = Shape(3, 3)
-    bottom = st.MaskSubspace(SupportMask(shape, [0, 0, 0, 0, 0, 0, 1, 1, 1]), Q)
+    bottom = st.MaskSubspace(support(parse_literal("[0 0 0;0 0 0;1 1 1]")), Q)
     top = st.subspace_complement(bottom)
-    _expect(top.mask, SupportMask(shape, [1, 1, 1, 1, 1, 1, 0, 0, 0]), "complement mask")
+    _expect(top.mask, support(parse_literal("[1 1 1;1 1 1;0 0 0]")), "complement mask")
     _expect(bottom.dim + top.dim, 9, "dimensions add up")
-
-
-def _direct_sum_masks():
-    shape = Shape(3, 3)
-    return [
-        st.MaskSubspace(SupportMask(shape, [1, 1, 0, 0, 0, 0, 0, 0, 1]), Q),
-        st.MaskSubspace(SupportMask(shape, [0, 0, 1, 0, 1, 0, 0, 0, 0]), Q),
-        st.MaskSubspace(SupportMask(shape, [0, 0, 0, 1, 0, 1, 0, 1, 0]), Q),
-        st.MaskSubspace(SupportMask(shape, [0, 0, 0, 0, 0, 0, 1, 0, 0]), Q),
-    ]
-
-
-def _pseudo_direct_masks():
-    shape = Shape(12, 1)
-
-    def rows(indices):
-        return st.MaskSubspace(
-            SupportMask(shape, [1 if i in indices else 0 for i in range(12)]), Q
-        )
-
-    return [
-        rows(range(0, 2)),
-        rows(range(1, 4)),
-        rows(range(2, 7)),
-        rows(range(7, 12)),
-    ]
 
 
 @_case("direct-sum-classification")
 def _direct_sum_classification():
-    _expect(st.check_sum(_direct_sum_masks()).kind, st.DIRECT, "disjoint cover")
+    parts = [
+        st.MaskSubspace(support(parse_literal(text)), Q)
+        for text in (
+            "[1 1 0;0 0 0;0 0 1]",
+            "[0 0 1;0 1 0;0 0 0]",
+            "[0 0 0;1 0 1;0 1 0]",
+            "[0 0 0;0 0 0;1 0 0]",
+        )
+    ]
+    _expect(st.check_sum(parts).kind, st.DIRECT, "disjoint cover")
 
 
 @_case("pseudo-direct-sum-classification")
 def _pseudo_direct_classification():
-    report = st.check_sum(_pseudo_direct_masks())
+    parts = [
+        st.MaskSubspace(support(parse_literal(text)), Q)
+        for text in (
+            "[1;1;0;0;0;0;0;0;0;0;0;0]",
+            "[0;1;1;1;0;0;0;0;0;0;0;0]",
+            "[0;0;1;1;1;1;1;0;0;0;0;0]",
+            "[0;0;0;0;0;0;0;1;1;1;1;1]",
+        )
+    ]
+    report = st.check_sum(parts)
     _expect(report.kind, st.PSEUDO_DIRECT, "overlapping cover")
     if not report.overlaps:
         raise AssertionError("expected overlap witnesses")
@@ -863,8 +679,8 @@ def _cone_semifield():
     _expect(report.positive_products_ok, True, "no zero divisors among positives")
     _expect(report.additive_strictness_ok, True, "strict addition")
     a, b = st.cone_zero_divisor_pair(Shape(1, 3), Z_PLUS)
-    _expect(a, _row([3, 0, 4], Z_PLUS), "canonical a")
-    _expect(b, _row([0, 7, 0], Z_PLUS), "canonical b")
+    _expect(a, parse_literal("[3 0 4]", Z_PLUS), "canonical a")
+    _expect(b, parse_literal("[0 7 0]", Z_PLUS), "canonical b")
     _expect((a * b).is_zero(), True, "pair annihilates")
 
 

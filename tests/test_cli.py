@@ -217,6 +217,41 @@ def test_verify_suites_quick():
     assert unknown.exit_code == 2
 
 
+# every worked example, in registry order
+PAPER_EXAMPLE_CASES = """
+scalar-reciprocal-unit scalar-perfect-power-roots scalar-sign-units
+square-matrix-addition column-natural-product square-natural-vs-usual-product
+usual-product-noncommutative entrywise-inverse-4x2 block-row-idempotent
+mask-census-2x2 mask-census-2x4-count main-complement-left-column
+main-complement-extremes column-orthogonality row-orthogonality entrywise-division
+prime-rows zero-set-annihilator super-addition-cellwise super-natural-product-3x5
+super-zero-divisor-6x6 super-identity-all-ones super-inverse-mixed-row
+super-inverse-zero-entry super-sign-self-inverse super-literal-round-trip
+row-poly-addition row-poly-natural-product super-square-poly-natural-product
+square-poly-usual-product constant-poly-usual-noncommutative row-poly-derivative
+square-poly-derivative row-poly-integral integer-poly-integral-not-closed
+poly-degrees row-poly-monicize row-poly-monicize-blocked square-poly-monicize-usual
+square-poly-monicize-singular cube-root-equation square-root-equation
+imaginary-root-rejected coincident-quadratic-roots difference-of-squares-quadratic
+triple-root-evaluation row-poly-zero-divisor mask-carrier-analysis sign-vector-group
+mask-ideal-orders sign-pair-smarandache diagonal-support-orthogonal-space
+orthogonal-space-extremes bottom-row-complement direct-sum-classification
+pseudo-direct-sum-classification cone-semifield-behaviour
+""".split()
+
+
+def test_paper_examples_case_list_is_pinned():
+    assert len(PAPER_EXAMPLE_CASES) == 57
+    text = run("verify", "paper-examples")
+    assert text.exit_code == 0
+    assert text.payload.splitlines() == [f"ok   {name}" for name in PAPER_EXAMPLE_CASES] + [
+        "57/57 cases passed"
+    ]
+    obj = json.loads(run("verify", "paper-examples", "--format", "json").payload)
+    assert [case["name"] for case in obj["cases"]] == PAPER_EXAMPLE_CASES
+    assert all(case["ok"] for case in obj["cases"])
+
+
 def test_verify_suite_function():
     from natprod.cli import verify_suite
 
@@ -265,6 +300,18 @@ def _write(path, content):
     return str(path)
 
 
+def _poly_json(deg):
+    coeff = {"domain": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
+    terms = [{"deg": deg, "coeff": coeff}]
+    return json.dumps({"shape": {"rows": 1, "cols": 1}, "domain": "Q", "terms": terms})
+
+
+def _cut_json(col_cuts):
+    return json.dumps(
+        {"domain": "Q", "rows": 1, "cols": 2, "entries": [["1", "2"]], "col_cuts": col_cuts}
+    )
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -281,10 +328,30 @@ def _write(path, content):
         lambda tmp: ["eval", "parse-render", _write(tmp / "latin1.txt", b"[1 \xff\xfe 2]")],
         lambda tmp: ["analyze", "carrier", "masks:0x3"],
         lambda tmp: ["analyze", "carrier", "all:2x0:Zn:3"],
+        lambda tmp: ["eval", "parse-render", "[1/2]", "--domain", "Z"],
+        lambda tmp: ["eval", "parse-render", "[1 3/2]", "--domain", "Z+"],
+        lambda tmp: ["eval", "parse-render", "[1/2]", "--domain", "Zn:3"],
+        lambda tmp: ["poly", "diff", "[1] + [1/2] * x", "--domain", "Z"],
+        lambda tmp: [
+            "analyze", "carrier", _write(tmp / "carrier.txt", "[1]\n[1/2]\n"), "--domain", "Z",
+        ],
+        lambda tmp: ["analyze", "ideal", "all:1x2:Zn:3", "[1/2 3]"],
+        lambda tmp: ["poly", "solve", "[5]"],
+        lambda tmp: ["poly", "solve", "[0] * x^2 + [1]"],
+        lambda tmp: ["poly", "diff", _write(tmp / "deg.json", _poly_json(1.5))],
+        lambda tmp: ["poly", "diff", _write(tmp / "deg.json", _poly_json("2"))],
+        lambda tmp: ["poly", "diff", _write(tmp / "deg.json", _poly_json(True))],
+        lambda tmp: ["eval", "parse-render", _write(tmp / "cuts.json", _cut_json([1.9]))],
+        lambda tmp: ["eval", "parse-render", _write(tmp / "cuts.json", _cut_json("1"))],
     ],
     ids=[
         "json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8",
         "carrier_zero_rows", "carrier_zero_cols",
+        "fraction_in_Z", "fraction_in_Z_plus", "fraction_in_Zn", "fraction_in_poly",
+        "fraction_in_carrier_file", "fraction_in_ideal_element",
+        "solve_constant", "solve_constant_after_zero_lead",
+        "json_float_deg", "json_string_deg", "json_bool_deg",
+        "json_float_cut", "json_string_cuts",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, argv):
