@@ -541,7 +541,7 @@ def poly_from_json(obj) -> MatPoly:
     try:
         if isinstance(obj, str):
             obj = json.loads(obj)
-        shape = Shape(obj["shape"]["rows"], obj["shape"]["cols"])
+        shape = Shape(*(_json_int(obj["shape"][k], f"shape.{k}") for k in ("rows", "cols")))
         domain = domain_from_code(obj["domain"])
         ptype = PartitionType(shape, *_json_cuts(obj))
         terms = [(_json_int(t["deg"], "deg"), matrix_from_json(t["coeff"])) for t in obj["terms"]]

@@ -16,6 +16,7 @@ result once per entry.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 from itertools import repeat
 from math import lcm
@@ -640,7 +641,7 @@ def render_matrix(a: Matrix) -> str:
 def parse_literal(text: str, domain: Domain = Q) -> Matrix:
     """Parse a matrix literal, partition marks included.
 
-    Errors carry the line and column of the offending row.
+    Errors carry the line and column of the bad entry, else of its row.
     """
     stripped = text.strip()
     if not stripped:
@@ -690,8 +691,10 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
                 try:
                     entries.append(domain.parse(tok))
                 except ParseError:
-                    line, col = location(pos)
-                    raise ParseError(f"bad entry {tok!r}", line, col) from None
+                    # the same tokens as `tokens`, with where each starts
+                    starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
+                    at = pos + starts[len(entries) + len(cuts_here)]
+                    raise ParseError(f"bad entry {tok!r}", *location(at)) from None
         if not entries:
             line, col = location(pos)
             raise ParseError("empty row", line, col)
@@ -768,7 +771,7 @@ def matrix_from_json(obj) -> Matrix:
         domain = domain_from_code(obj["domain"])
         rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
         m = Matrix.from_rows(rows, domain, *_json_cuts(obj))
-        declared = Shape(obj["rows"], obj["cols"])
+        declared = Shape(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols"))
     except JSON_INPUT_ERRORS as exc:
         raise ParseError(f"malformed matrix JSON: {exc!r}") from None
     if m.shape != declared:

@@ -27,6 +27,7 @@ RAT_KIND = "rat"
 MOD_KIND = "mod"
 NONNEG_INT_KIND = "nonneg_int"
 NONNEG_RAT_KIND = "nonneg_rat"
+_KINDS = (INT_KIND, RAT_KIND, MOD_KIND, NONNEG_INT_KIND, NONNEG_RAT_KIND)
 
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
@@ -39,7 +40,7 @@ class Domain:
     lowest terms with positive denominator, cone values >= 0).
     """
 
-    __slots__ = ("kind", "modulus")
+    __slots__ = ("kind", "modulus", "_hash")
 
     def __init__(self, kind, modulus=None):
         if kind == MOD_KIND:
@@ -49,6 +50,8 @@ class Domain:
             raise ValueError("only modular domains carry a modulus")
         object.__setattr__(self, "kind", kind)
         object.__setattr__(self, "modulus", modulus)
+        # ints only: hashes of str and None differ from process to process
+        object.__setattr__(self, "_hash", hash((_KINDS.index(kind), modulus or 0)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Domain is immutable")
@@ -61,7 +64,7 @@ class Domain:
         )
 
     def __hash__(self):
-        return hash((self.kind, self.modulus))
+        return self._hash
 
     def __repr__(self):
         return f"Domain({self.code!r})"

@@ -6,6 +6,10 @@ full report: closure, associativity, commutativity, identity,
 idempotents, zero divisors, maximal subgroups at idempotents, and a
 Smarandache witness (a proper subset forming a group of size >= 2).
 
+Every finite-structure question reads its products from one private
+product table, `_Table`, where a product that leaves the family is an
+index past its end.
+
 Subspaces here are coordinate subspaces described by support masks: the
 matrices orthogonal to x under the natural product are exactly those
 supported on the complement of x's support.
@@ -136,11 +140,10 @@ class StructureReport:
     smarandache: tuple | None
 
     def to_json(self) -> dict:
-        def lit(m):
-            return render_matrix(m)
+        lit = render_matrix
 
         def lits(seq):
-            return [lit(m) for m in seq]
+            return None if seq is None else [lit(m) for m in seq]
 
         return {
             "carrier": {
@@ -151,16 +154,12 @@ class StructureReport:
                 "cardinality": self.carrier.cardinality(),
             },
             "closed": self.closed,
-            "closure_witness": lits(self.closure_witness) if self.closure_witness else None,
+            "closure_witness": lits(self.closure_witness),
             "associative": self.associative,
             "associativity_mode": self.associativity_mode,
-            "associativity_witness": lits(self.associativity_witness)
-            if self.associativity_witness
-            else None,
+            "associativity_witness": lits(self.associativity_witness),
             "commutative": self.commutative,
-            "commutativity_witness": lits(self.commutativity_witness)
-            if self.commutativity_witness
-            else None,
+            "commutativity_witness": lits(self.commutativity_witness),
             "identity": lit(self.identity) if self.identity is not None else None,
             "idempotent_count": len(self.idempotents),
             "idempotents": lits(self.idempotents),
@@ -169,7 +168,7 @@ class StructureReport:
                 {"idempotent": lit(e), "order": len(h), "members": lits(h)}
                 for e, h in self.max_subgroups
             ],
-            "smarandache": lits(self.smarandache) if self.smarandache else None,
+            "smarandache": lits(self.smarandache),
         }
 
     def table(self) -> str:
@@ -199,22 +198,22 @@ def _yesno(flag, witness):
 
 
 class _Table:
-    """The carrier's multiplication table over indices (Froidure & Pin 1997).
+    """The multiplication table over indices (Froidure & Pin 1997).
 
-    Members keep their canonical order as indices 0..n-1, so index order is
-    the order of `values`.  `mul` computes each product once, by
-    `Carrier.apply`; a product outside the carrier is interned with an
-    index >= n, so `mul(a, b) < n` is closure and index equality stays
-    exact on carriers that are not closed.
+    Elements keep their given order as indices 0..n-1; a product outside
+    them is interned with an index >= n, so `product(a, b) < n` is closure
+    and index equality stays exact on families that are not closed.
+    `product` computes by `apply` afresh, for walks that read each product
+    once; `mul` memoises it, for questions that read products again.
     """
 
     __slots__ = ("elements", "n", "index", "_apply", "_memo")
 
-    def __init__(self, carrier: Carrier, max_elements):
-        self.elements = list(carrier.elements(max_elements))
+    def __init__(self, elements, apply):
+        self.elements = list(elements)
         self.n = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
-        self._apply = carrier.apply
+        self._apply = apply
         self._memo = {}
 
     def intern(self, m: Matrix) -> int:
@@ -224,11 +223,22 @@ class _Table:
             self.elements.append(m)
         return k
 
+    def product(self, a: int, b: int) -> int:
+        return self.intern(self._apply(self.elements[a], self.elements[b]))
+
     def mul(self, a: int, b: int) -> int:
         k = self._memo.get((a, b))
         if k is None:
-            k = self._memo[a, b] = self.intern(self._apply(self.elements[a], self.elements[b]))
+            k = self._memo[a, b] = self.product(a, b)
         return k
+
+    def closure_witness(self):
+        """The first pair (a, b) whose product leaves the elements, or None."""
+        idx = range(self.n)
+        return next(((a, b) for a in idx for b in idx if self.mul(a, b) >= self.n), None)
+
+    def idempotents(self):
+        return [a for a in range(self.n) if self.mul(a, a) == a]
 
     def members(self, indices):
         return None if indices is None else tuple(self.elements[i] for i in indices)
@@ -276,11 +286,11 @@ def analyze(
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
     """
-    table = _Table(carrier, max_elements)
+    table = _Table(carrier.elements(max_elements), carrier.apply)
     mul, n, members = table.mul, table.n, table.members
     idx = range(n)
 
-    closure_witness = next(((a, b) for a in idx for b in idx if mul(a, b) >= n), None)
+    closure_witness = table.closure_witness()
     commutativity_witness = next(
         ((a, b) for a, b in itertools.combinations(idx, 2) if mul(a, b) != mul(b, a)),
         None,
@@ -300,7 +310,7 @@ def analyze(
     identity = next(
         (e for e in idx if all(mul(e, a) == a and mul(a, e) == a for a in idx)), None
     )
-    idempotents = [a for a in idx if mul(a, a) == a]
+    idempotents = table.idempotents()
 
     zero_divisor_pairs = ()
     if carrier.op == NATURAL_PRODUCT:
@@ -331,9 +341,9 @@ def analyze(
 
 
 def idempotents_in(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
-    """All e with e ∘ e = e, in canonical order (by direct squaring)."""
-    op = carrier.apply
-    return tuple(a for a in carrier.elements(max_elements) if op(a, a) == a)
+    """All e with e ∘ e = e, in canonical order."""
+    table = _Table(carrier.elements(max_elements), carrier.apply)
+    return table.members(table.idempotents())
 
 
 @dataclass(frozen=True)
@@ -352,28 +362,24 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
     """
     if carrier.op != NATURAL_PRODUCT:
         raise UnsupportedDomain("ideals are computed under the natural product")
-    table = _Table(carrier, max_elements)
-    elements, index = table.elements, table.index
-    if x not in index:
+    table = _Table(carrier.elements(max_elements), carrier.apply)
+    elements, n = table.elements, table.n
+    g = table.index.get(x)
+    if g is None:
         raise NotMember(f"{render_matrix(x)} is not a carrier member")
-    inside = [False] * table.n
-    inside[index[x]] = True
-    todo = [index[x]]
+    inside, todo = {g}, [g]
     for f in todo:
-        a = elements[f]
-        for s in elements:
-            prod = a * s
-            try:
-                k = index[prod]
-            except KeyError:
+        for s in range(n):
+            k = table.product(f, s)
+            if k >= n:
                 raise NotMember(
-                    f"{render_matrix(a)} * {render_matrix(s)} = "
-                    f"{render_matrix(prod)} is not a carrier member"
-                ) from None
-            if not inside[k]:
-                inside[k] = True
+                    f"{render_matrix(elements[f])} * {render_matrix(elements[s])} = "
+                    f"{render_matrix(elements[k])} is not a carrier member"
+                )
+            if k not in inside:
+                inside.add(k)
                 todo.append(k)
-    members = tuple(itertools.compress(elements, inside))
+    members = table.members(sorted(inside))
     return GeneratedIdeal(members, len(members))
 
 
@@ -384,24 +390,20 @@ def is_smarandache(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
     idempotents first (the largest subgroup sits at the identity when
     there is one); singleton groups never certify.
     """
-    table = _Table(carrier, max_elements)
-    idempotents = [a for a in range(table.n) if table.mul(a, a) == a]
-    return table.members(table.smarandache(table.h_classes(idempotents)))
+    table = _Table(carrier.elements(max_elements), carrier.apply)
+    return table.members(table.smarandache(table.h_classes(table.idempotents())))
 
 
 def is_subsemigroup(carrier: Carrier, subset):
     """Is the subset closed under the carrier operation?"""
-    subset = set(subset)
-    op = carrier.apply
-    return all(op(a, b) in subset for a in subset for b in subset)
+    return _Table(dict.fromkeys(subset), carrier.apply).closure_witness() is None
 
 
 def is_ideal(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
     """Does the subset absorb multiplication by every carrier element?"""
-    subset = set(subset)
-    op = carrier.apply
-    elements = carrier.elements(max_elements)
-    return all(op(a, s) in subset for a in subset for s in elements)
+    table = _Table(carrier.elements(max_elements), carrier.apply)
+    inside = {table.intern(m) for m in subset}
+    return all(table.product(a, s) in inside for a in inside for s in range(table.n))
 
 
 # -- support-mask subspaces ---------------------------------------------------

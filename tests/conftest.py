@@ -1,8 +1,14 @@
+import os
 import random
+from pathlib import Path
 
 import pytest
 
 from natprod import Matrix, Q
+
+# `python -m natprod` children import the package from this working tree too
+_SRC = str(Path(__file__).resolve().parents[1] / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 
 def row(values, domain=Q):

@@ -300,10 +300,10 @@ def _write(path, content):
     return str(path)
 
 
-def _poly_json(deg):
+def _poly_json(deg, rows=1):
     coeff = {"domain": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}
     terms = [{"deg": deg, "coeff": coeff}]
-    return json.dumps({"shape": {"rows": 1, "cols": 1}, "domain": "Q", "terms": terms})
+    return json.dumps({"shape": {"rows": rows, "cols": 1}, "domain": "Q", "terms": terms})
 
 
 def _cut_json(col_cuts):
@@ -343,6 +343,11 @@ def _cut_json(col_cuts):
         lambda tmp: ["poly", "diff", _write(tmp / "deg.json", _poly_json(True))],
         lambda tmp: ["eval", "parse-render", _write(tmp / "cuts.json", _cut_json([1.9]))],
         lambda tmp: ["eval", "parse-render", _write(tmp / "cuts.json", _cut_json("1"))],
+        lambda tmp: [
+            "eval", "parse-render",
+            _write(tmp / "shape.json", '{"domain":"Q","rows":true,"cols":2.0,"entries":[["1","2"]]}'),
+        ],
+        lambda tmp: ["poly", "diff", _write(tmp / "shape.json", _poly_json(0, rows=True))],
     ],
     ids=[
         "json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8",
@@ -351,7 +356,7 @@ def _cut_json(col_cuts):
         "fraction_in_carrier_file", "fraction_in_ideal_element",
         "solve_constant", "solve_constant_after_zero_lead",
         "json_float_deg", "json_string_deg", "json_bool_deg",
-        "json_float_cut", "json_string_cuts",
+        "json_float_cut", "json_string_cuts", "json_bool_float_shape", "json_poly_bool_shape",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, argv):

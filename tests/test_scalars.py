@@ -1,4 +1,7 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -180,3 +183,21 @@ def test_scalar_parse_errors():
         Q.parse("1/0")
     assert Mod(12).parse("-1") == 11
     assert Q.parse("-3/6") == Fraction(-1, 2)
+
+
+def test_hashes_do_not_depend_on_the_hash_seed():
+    code = (
+        "from natprod import Mod, Z, parse_literal; "
+        "print(hash(Z), hash(Mod(6)), hash(parse_literal('[1;1;1]', Z)))"
+    )
+    outputs = {
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": seed},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for seed in ("1", "2")
+    }
+    assert len(outputs) == 1

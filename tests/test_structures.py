@@ -415,6 +415,24 @@ def _ref_ideal(carrier, x):
     return tuple(sorted(ideal, key=lambda m: m.values))
 
 
+def _ref_idempotents_in(carrier):
+    op = carrier.apply
+    return tuple(a for a in carrier.elements() if op(a, a) == a)
+
+
+def _ref_is_subsemigroup(carrier, subset):
+    subset = set(subset)
+    op = carrier.apply
+    return all(op(a, b) in subset for a in subset for b in subset)
+
+
+def _ref_is_ideal(carrier, subset):
+    subset = set(subset)
+    op = carrier.apply
+    elements = carrier.elements()
+    return all(op(a, s) in subset for a in subset for s in elements)
+
+
 def _sign_group(k):
     return Carrier.explicit(col(signs, Z) for signs in itertools.product((1, -1), repeat=k))
 
@@ -463,3 +481,47 @@ def test_product_table_matches_direct_products(name):
     if carrier.op != ADDITION and want.closed:
         for x in carrier.elements()[::7]:
             assert ideal_generated(carrier, x).members == _ref_ideal(carrier, x)
+
+
+def _outsider(carrier):
+    """A constant matrix of the carrier's shape and domain outside it, or None."""
+    elements = carrier.elements()
+    size = carrier.shape.size
+    candidates = (Matrix(carrier.shape, carrier.domain, [v] * size) for v in range(2, 10))
+    return next((m for m in candidates if m not in elements), None)
+
+
+@pytest.mark.parametrize("name", sorted(REFERENCE_CARRIERS))
+def test_subset_questions_match_direct_products(name):
+    carrier = REFERENCE_CARRIERS[name]
+    elements = carrier.elements()
+    assert idempotents_in(carrier) == _ref_idempotents_in(carrier)
+    subsets = [[m] for m in elements] + [elements, elements[::2]]
+    if carrier.op != ADDITION and _ref_is_subsemigroup(carrier, elements):
+        subsets += [ideal_generated(carrier, x).members for x in elements[::7]]
+    outsider = _outsider(carrier)
+    if outsider is not None:
+        subsets += [[outsider], [elements[0], outsider], [*elements, outsider]]
+    for subset in subsets:
+        assert is_subsemigroup(carrier, subset) == _ref_is_subsemigroup(carrier, subset)
+        assert is_ideal(carrier, subset) == _ref_is_ideal(carrier, subset)
+
+
+def test_single_read_walks_compute_each_product_once(monkeypatch):
+    calls = []
+    natural_product = Matrix.__mul__
+
+    def counting(a, b):
+        calls.append(None)
+        return natural_product(a, b)
+
+    monkeypatch.setattr(Matrix, "__mul__", counting)
+    for carrier in (Carrier.masks(Shape(2, 3)), Carrier.all_matrices(Shape(1, 3), Mod(3))):
+        n = carrier.cardinality()
+        for x in carrier.elements()[::9]:
+            calls.clear()
+            ideal = ideal_generated(carrier, x)
+            assert len(calls) == ideal.cardinality * n
+        calls.clear()
+        idempotents_in(carrier)
+        assert len(calls) == n

@@ -16,6 +16,8 @@ from natprod import (
     SuperMatrix,
     TypeMismatch,
     Z,
+    Z_PLUS,
+    parse_literal,
     parse_super,
     render_super,
     same_type,
@@ -115,6 +117,18 @@ def test_parse_errors_have_positions():
     assert info.value.column > 1
     with pytest.raises(ParseError):
         parse_super("1 2", Q)
+    # a bad entry is located at the token, any other error at its row
+    for text, domain, column in (
+        ("[1 3/2]", Z_PLUS, 4),
+        ("[1 2;3 x]", Z, 8),
+        ("[1 2;| 3 4]", Z, 6),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse_literal(text, domain)
+        assert (info.value.line, info.value.column) == (1, column)
+    with pytest.raises(ParseError) as info:
+        parse_literal("[1 2;\n 3 y]", Z)
+    assert (info.value.line, info.value.column) == (2, 4)
 
 
 def test_render_round_trip_with_fractions():
