@@ -7,9 +7,12 @@ poly {add|nmul|umul|diff|int|degree|monic|solve},
 analyze {carrier|idempotents|ideal|smarandache},
 complement <matrix>, verify {paper-examples|laws|census}.
 
+Each verb takes only the flags its handler reads; any other flag exits 2.
+
 Exit codes: 0 success, 1 negative finding (false predicate, no roots,
-failed suite case), 2 usage or parse errors.  Output is deterministic for
-fixed inputs and seed; --format json emits the canonical JSON forms.
+failed suite case), 2 usage or parse errors, 3 internal error (any other
+exception).  Output is deterministic for fixed inputs and seed; every
+payload goes through _emit, whose JSON has sorted keys.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from . import matpoly as mp
 from . import structures as st
 from . import verify as vf
-from .errors import NatProdError, NoRationalRoot, ParseError, TypeMismatch
+from .errors import NatProdError, NoRationalRoot, ParseError, TooLarge, TypeMismatch
 from .matrix import (
     Matrix,
     _shape,
@@ -37,7 +40,7 @@ from .matrix import (
     parse_literal,
     render_matrix,
 )
-from .scalars import Q, domain_from_code
+from .scalars import Q, _past_digit_limit, domain_from_code
 
 
 @dataclass
@@ -47,42 +50,50 @@ class RunReport:
     diagnostics: str = ""
 
 
+_FLAGS = {
+    "format": dict(choices=("text", "json"), default="text"),
+    "seed": dict(type=int, default=0),
+    "samples": dict(type=int, default=None),
+    "domain": dict(default="Q"),
+    "const": dict(default=None, metavar="MATRIX"),
+}
+
+
 def _build_parser():
     parser = argparse.ArgumentParser(
         prog="natprod",
         description="Exact natural-product matrix algebra tool",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("text", "json"), default="text")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--samples", type=int, default=None)
-    common.add_argument("--domain", default="Q")
-    common.add_argument("--const", default=None, metavar="MATRIX")
-
     verbs = parser.add_subparsers(dest="verb", required=True)
 
-    p_eval = verbs.add_parser("eval", parents=[common], help="matrix operations")
+    def verb(name, help_text, *flags):
+        sub = verbs.add_parser(name, help=help_text)
+        for flag in flags:
+            sub.add_argument(f"--{flag}", **_FLAGS[flag])
+        return sub
+
+    p_eval = verb("eval", "matrix operations", "format", "domain")
     p_eval.add_argument(
         "subverb",
         choices=("add", "nprod", "uprod", "inv", "orth", "divides", "parse-render"),
     )
     p_eval.add_argument("inputs", nargs="+", metavar="MATRIX")
 
-    p_poly = verbs.add_parser("poly", parents=[common], help="polynomial operations")
+    p_poly = verb("poly", "polynomial operations", "format", "domain", "const")
     p_poly.add_argument(
         "subverb",
         choices=("add", "nmul", "umul", "diff", "int", "degree", "monic", "solve"),
     )
     p_poly.add_argument("inputs", nargs="+", metavar="POLY")
 
-    p_an = verbs.add_parser("analyze", parents=[common], help="finite-structure analysis")
+    p_an = verb("analyze", "finite-structure analysis", "format", "seed", "samples", "domain")
     p_an.add_argument("subverb", choices=("carrier", "idempotents", "ideal", "smarandache"))
     p_an.add_argument("inputs", nargs="+", metavar="CARRIER")
 
-    p_comp = verbs.add_parser("complement", parents=[common], help="support complement")
+    p_comp = verb("complement", "support complement", "format", "domain")
     p_comp.add_argument("inputs", nargs=1, metavar="MATRIX")
 
-    p_verify = verbs.add_parser("verify", parents=[common], help="built-in suites")
+    p_verify = verb("verify", "built-in suites", "format", "seed", "samples")
     p_verify.add_argument("suite")
     return parser
 
@@ -115,16 +126,23 @@ def _load_poly(token, domain) -> mp.MatPoly:
     return mp.parse_poly(text, domain)
 
 
-def _emit_matrix(m: Matrix, fmt):
+def _emit(fmt, value, to_json, to_text):
+    """The payload for `value`: canonical JSON with sorted keys, or text."""
     if fmt == "json":
-        return json.dumps(matrix_to_json(m), sort_keys=True)
-    return render_matrix(m)
+        obj = to_json(value)
+        try:
+            return json.dumps(obj, sort_keys=True)
+        except ValueError:  # only an int past the int/str digit limit fails here
+            raise TooLarge(_past_digit_limit("an output integer")) from None
+    return to_text(value)
+
+
+def _emit_matrix(m: Matrix, fmt):
+    return _emit(fmt, m, matrix_to_json, render_matrix)
 
 
 def _emit_poly(p: mp.MatPoly, fmt):
-    if fmt == "json":
-        return json.dumps(mp.poly_to_json(p), sort_keys=True)
-    return mp.render_poly(p)
+    return _emit(fmt, p, mp.poly_to_json, mp.render_poly)
 
 
 def _cmd_eval(args):
@@ -155,15 +173,12 @@ def _cmd_eval(args):
         if a.partition != b.partition:
             raise TypeMismatch("operands carry different partitions")
         flag = (a * b).is_zero()
-        payload = json.dumps({"orthogonal": flag}) if fmt == "json" else str(flag).lower()
+        payload = _emit(fmt, flag, lambda f: {"orthogonal": f}, lambda f: str(f).lower())
         return RunReport(0 if flag else 1, payload)
-    if args.subverb == "divides":
-        quotient = divides(a, b)
-        if quotient is None:
-            payload = json.dumps({"divides": False}) if fmt == "json" else "none"
-            return RunReport(1, payload)
-        return RunReport(0, _emit_matrix(quotient, fmt))
-    raise ParseError(f"unknown eval subverb {args.subverb}")
+    quotient = divides(a, b)
+    if quotient is None:
+        return RunReport(1, _emit(fmt, None, lambda _: {"divides": False}, lambda _: "none"))
+    return RunReport(0, _emit_matrix(quotient, fmt))
 
 
 def _solve(p: mp.MatPoly, fmt):
@@ -179,12 +194,7 @@ def _solve(p: mp.MatPoly, fmt):
         try:
             roots = mp.solve_quadratic(p.coeff(2), p.coeff(1), p.coeff(0))
         except NoRationalRoot as exc:
-            payload = (
-                json.dumps({"roots": [], "reason": str(exc)}, sort_keys=True)
-                if fmt == "json"
-                else f"no roots: {exc}"
-            )
-            return RunReport(1, payload)
+            roots = mp.RootSet(reason=str(exc))
     elif supported <= {0, degree}:
         # a x^k + c = 0  ->  a x^k = -c
         roots = mp.solve_binomial(p.coeff(degree), -p.coeff(0), degree)
@@ -193,26 +203,24 @@ def _solve(p: mp.MatPoly, fmt):
             "solve handles quadratics and two-term equations a*x^k + c only"
         )
     if not roots:
-        payload = (
-            json.dumps({"roots": [], "reason": roots.reason}, sort_keys=True)
-            if fmt == "json"
-            else f"no roots: {roots.reason}"
+        payload = _emit(
+            fmt, roots.reason, lambda r: {"roots": [], "reason": r}, lambda r: f"no roots: {r}"
         )
         return RunReport(1, payload)
-    if fmt == "json":
-        payload = json.dumps(
-            {
-                "roots": [matrix_to_json(r) for r in roots],
-                "componentwise_signs": roots.componentwise_signs,
-            },
-            sort_keys=True,
-        )
-    else:
+
+    def text(roots):
         lines = [render_matrix(r) for r in roots]
         if roots.componentwise_signs:
             lines.append("# further componentwise sign choices are also roots")
-        payload = "\n".join(lines)
-    return RunReport(0, payload)
+        return "\n".join(lines)
+
+    def to_json(roots):
+        return {
+            "roots": [matrix_to_json(r) for r in roots],
+            "componentwise_signs": roots.componentwise_signs,
+        }
+
+    return RunReport(0, _emit(fmt, roots, to_json, text))
 
 
 def _cmd_poly(args):
@@ -240,15 +248,13 @@ def _cmd_poly(args):
             constant = _load_matrix(args.const, p.domain)
         return RunReport(0, _emit_poly(mp.poly_integrate(p, constant), fmt))
     if args.subverb == "degree":
-        degree = p.degree()
-        if fmt == "json":
-            return RunReport(0, json.dumps({"degree": degree}))
-        return RunReport(0, "none" if degree is None else str(degree))
+        payload = _emit(
+            fmt, p.degree(), lambda d: {"degree": d}, lambda d: "none" if d is None else str(d)
+        )
+        return RunReport(0, payload)
     if args.subverb == "monic":
         return RunReport(0, _emit_poly(mp.monicize_natural(p), fmt))
-    if args.subverb == "solve":
-        return _solve(p, fmt)
-    raise ParseError(f"unknown poly subverb {args.subverb}")
+    return _solve(p, fmt)
 
 
 def _parse_carrier(spec, domain):
@@ -288,6 +294,14 @@ def _samples(args, default):
     return args.samples
 
 
+def _listing(fmt, head_json, head_text, key, members):
+    """A head line (or JSON keys) followed by one rendered matrix per member."""
+    rendered = [render_matrix(m) for m in members]
+    return _emit(
+        fmt, rendered, lambda r: {**head_json, key: r}, lambda r: "\n".join([head_text, *r])
+    )
+
+
 def _cmd_analyze(args):
     fmt = args.format
     domain = domain_from_code(args.domain)
@@ -295,71 +309,37 @@ def _cmd_analyze(args):
 
     if args.subverb == "carrier":
         report = st.analyze(carrier, seed=args.seed, samples=_samples(args, 400))
-        if fmt == "json":
-            return RunReport(0, json.dumps(report.to_json(), sort_keys=True))
-        return RunReport(0, report.table())
+        return RunReport(0, _emit(fmt, report, lambda r: r.to_json(), lambda r: r.table()))
     if args.subverb == "idempotents":
         idems = st.idempotents_in(carrier)
-        if fmt == "json":
-            payload = json.dumps(
-                {"count": len(idems), "idempotents": [render_matrix(m) for m in idems]},
-                sort_keys=True,
-            )
-        else:
-            payload = "\n".join([f"count {len(idems)}"] + [render_matrix(m) for m in idems])
-        return RunReport(0, payload)
+        n = len(idems)
+        return RunReport(0, _listing(fmt, {"count": n}, f"count {n}", "idempotents", idems))
     if args.subverb == "ideal":
         if len(args.inputs) != 2:
             raise ParseError("analyze ideal takes a carrier and a generator")
         x = _load_matrix(args.inputs[1], carrier.domain).base
         ideal = st.ideal_generated(carrier, x)
-        if fmt == "json":
-            payload = json.dumps(
-                {
-                    "cardinality": ideal.cardinality,
-                    "members": [render_matrix(m) for m in ideal.members],
-                },
-                sort_keys=True,
-            )
-        else:
-            payload = "\n".join(
-                [f"cardinality {ideal.cardinality}"]
-                + [render_matrix(m) for m in ideal.members]
-            )
+        n = ideal.cardinality
+        payload = _listing(fmt, {"cardinality": n}, f"cardinality {n}", "members", ideal.members)
         return RunReport(0, payload)
-    if args.subverb == "smarandache":
-        witness = st.is_smarandache(carrier)
-        if witness is None:
-            payload = json.dumps({"smarandache": False}) if fmt == "json" else "none"
-            return RunReport(1, payload)
-        if fmt == "json":
-            payload = json.dumps(
-                {"smarandache": True, "subgroup": [render_matrix(m) for m in witness]},
-                sort_keys=True,
-            )
-        else:
-            payload = "\n".join(
-                [f"subgroup of order {len(witness)}"] + [render_matrix(m) for m in witness]
-            )
-        return RunReport(0, payload)
-    raise ParseError(f"unknown analyze subverb {args.subverb}")
+    witness = st.is_smarandache(carrier)
+    if witness is None:
+        return RunReport(1, _emit(fmt, None, lambda _: {"smarandache": False}, lambda _: "none"))
+    head = f"subgroup of order {len(witness)}"
+    return RunReport(0, _listing(fmt, {"smarandache": True}, head, "subgroup", witness))
 
 
 def _cmd_complement(args):
     domain = domain_from_code(args.domain)
     m = _load_matrix(args.inputs[0], domain).base
-    mask = main_complement(m)
-    space = st.orthogonal_space(m)
-    if args.format == "json":
-        payload = json.dumps(
-            {
-                "mask": str(mask),
-                "dimension": space.dim,
-            },
-            sort_keys=True,
-        )
-    else:
-        payload = f"{mask}\ndimension {space.dim}"
+    mask = str(main_complement(m))
+    dim = st.orthogonal_space(m).dim
+    payload = _emit(
+        args.format,
+        mask,
+        lambda mask: {"mask": mask, "dimension": dim},
+        lambda mask: f"{mask}\ndimension {dim}",
+    )
     return RunReport(0, payload)
 
 
@@ -370,27 +350,25 @@ def _cmd_verify(args):
         results = vf.run_laws(seed=args.seed, samples=_samples(args, 10000))
     else:
         results = vf.SUITES[args.suite]()
-    failures = [r for r in results if not r.ok]
-    if args.format == "json":
-        payload = json.dumps(
-            {
-                "suite": args.suite,
-                "cases": [
-                    {"name": r.name, "ok": r.ok, "detail": r.detail} for r in results
-                ],
-                "passed": len(results) - len(failures),
-                "failed": len(failures),
-            },
-            sort_keys=True,
-        )
-    else:
+    failed = sum(1 for r in results if not r.ok)
+
+    def to_json(results):
+        return {
+            "suite": args.suite,
+            "cases": [{"name": r.name, "ok": r.ok, "detail": r.detail} for r in results],
+            "passed": len(results) - failed,
+            "failed": failed,
+        }
+
+    def text(results):
         lines = [
             f"{'ok  ' if r.ok else 'FAIL'} {r.name}" + (f" -- {r.detail}" if r.detail else "")
             for r in results
         ]
-        lines.append(f"{len(results) - len(failures)}/{len(results)} cases passed")
-        payload = "\n".join(lines)
-    return RunReport(0 if not failures else 1, payload)
+        lines.append(f"{len(results) - failed}/{len(results)} cases passed")
+        return "\n".join(lines)
+
+    return RunReport(1 if failed else 0, _emit(args.format, results, to_json, text))
 
 
 _DISPATCH = {
@@ -424,6 +402,8 @@ def run_command(argv) -> RunReport:
         return _DISPATCH[args.verb](args)
     except NatProdError as exc:
         return RunReport(2, "", f"error: {type(exc).__name__}: {exc}")
+    except Exception as exc:  # a defect, not a contract error: exit 3, never a traceback
+        return RunReport(3, "", f"internal error: {type(exc).__name__}: {exc}")
 
 
 def main(argv=None) -> int:

@@ -74,6 +74,7 @@ class NotMember(NatProdError):
 class ParseError(NatProdError):
     def __init__(self, message, line=1, column=1):
         super().__init__(f"{message} (line {line}, column {column})")
+        self.reason = message
         self.line = line
         self.column = column
 

@@ -56,7 +56,7 @@ from .matrix import (
     usual_inverse,
     zeros,
 )
-from .scalars import Domain, Q, Scalar, Z, domain_from_code, kth_root
+from .scalars import Domain, Q, Scalar, Z, _parse_int, domain_from_code, kth_root
 
 
 class MatPoly:
@@ -420,10 +420,10 @@ def solve_binomial(a: Matrix, c: Matrix, k: int) -> RootSet:
     for i, (ai, ci) in enumerate(zip(a.values, c.values)):
         t = Fraction(ci, 1) / Fraction(ai, 1)
         if k % 2 == 0 and t < 0:
-            return RootSet(reason=f"NoRationalRoot: component {i} needs an even root of {t}")
+            return RootSet(reason=f"NoRationalRoot: component {i} needs an even root of {Q.render(t)}")
         r = kth_root(Scalar(Q, t), k)
         if r is None:
-            return RootSet(reason=f"NoRationalRoot: component {i}: {t} is not a perfect {k}-th power")
+            return RootSet(reason=f"NoRationalRoot: component {i}: {Q.render(t)} is not a perfect {k}-th power")
         root_vals.append(r.value)
     try:
         root = Matrix(a.shape, a.domain, root_vals)
@@ -454,12 +454,12 @@ def solve_quadratic(a: Matrix, b: Matrix, c: Matrix) -> RootSet:
         disc = bi * bi - 4 * ai * ci
         if disc < 0:
             raise NoRationalRoot(
-                f"component {i} has negative discriminant {disc}", component=i
+                f"component {i} has negative discriminant {Q.render(disc)}", component=i
             )
         s = kth_root(Scalar(Q, disc), 2)
         if s is None:
             raise NoRationalRoot(
-                f"component {i}: discriminant {disc} is not a rational square",
+                f"component {i}: discriminant {Q.render(disc)} is not a rational square",
                 component=i,
             )
         s = s.value
@@ -491,7 +491,7 @@ def render_poly(p: MatPoly) -> str:
         elif deg == 1:
             parts.append(f"{lit} * x")
         else:
-            parts.append(f"{lit} * x^{deg}")
+            parts.append(f"{lit} * x^{Z.render(deg)}")
     return " + ".join(parts)
 
 
@@ -517,7 +517,7 @@ def parse_poly(text: str, domain: Domain = Q) -> MatPoly:
         if not m:
             raise ParseError(f"bad polynomial term {part.strip()!r}")
         literal, xmark, power = m.groups()
-        deg = 0 if xmark is None else (1 if power is None else int(power))
+        deg = 0 if xmark is None else (1 if power is None else _parse_int(power))
         terms.append((deg, parse_literal(literal, domain)))
     return MatPoly.from_terms(terms)
 

@@ -585,12 +585,7 @@ class SupportMask:
         return f"SupportMask({self.shape}, {''.join(map(str, self.bits))})"
 
     def __str__(self):
-        c = self.shape.cols
-        rows = [
-            " ".join(str(b) for b in self.bits[i * c : (i + 1) * c])
-            for i in range(self.shape.rows)
-        ]
-        return "[" + ";".join(rows) + "]"
+        return render_matrix(self.to_matrix(Z))
 
 
 DEFAULT_ENUM_BITS = 24
@@ -690,11 +685,11 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
             else:
                 try:
                     entries.append(domain.parse(tok))
-                except ParseError:
+                except ParseError as exc:
                     # the same tokens as `tokens`, with where each starts
                     starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
                     at = pos + starts[len(entries) + len(cuts_here)]
-                    raise ParseError(f"bad entry {tok!r}", *location(at)) from None
+                    raise ParseError(f"bad entry: {exc.reason}", *location(at)) from None
         if not entries:
             line, col = location(pos)
             raise ParseError("empty row", line, col)

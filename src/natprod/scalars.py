@@ -10,6 +10,7 @@ negative raises ConeViolation rather than saturating.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -19,6 +20,7 @@ from .errors import (
     DomainMismatch,
     NotAUnit,
     ParseError,
+    TooLarge,
     UnsupportedDomain,
 )
 
@@ -187,24 +189,41 @@ class Domain:
     # -- text form ------------------------------------------------------
 
     def render(self, a):
-        if isinstance(a, Fraction) and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(int(a))
+        try:
+            if isinstance(a, Fraction) and a.denominator != 1:
+                return f"{a.numerator}/{a.denominator}"
+            return str(int(a))
+        except ValueError:  # only an int past the int/str digit limit fails here
+            raise TooLarge(_past_digit_limit("an integer to print")) from None
 
     def parse(self, text):
         text = text.strip()
         if not _SCALAR_RE.match(text):
             raise ParseError(f"bad scalar literal {text!r}")
         if "/" in text:
-            num, den = text.split("/")
-            if int(den) == 0:
+            num, den = map(_parse_int, text.split("/"))
+            if den == 0:
                 raise ParseError(f"zero denominator in {text!r}")
-            value = Fraction(int(num), int(den))
+            value = Fraction(num, den)
             if value.denominator != 1 and not self.is_rational:
                 raise ParseError(f"{text} is not an integer in {self.code}")
         else:
-            value = int(text)
+            value = _parse_int(text)
         return self.coerce(value)
+
+
+def _past_digit_limit(what):
+    """Message for an int too long for Python's int/str conversion limit."""
+    limit = sys.get_int_max_str_digits()
+    return f"{what} has more than sys.get_int_max_str_digits() = {limit} digits"
+
+
+def _parse_int(digits):
+    """int(digits), or ParseError past the int/str digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(_past_digit_limit("an integer literal")) from None
 
 
 Z = Domain(INT_KIND)
@@ -230,7 +249,7 @@ def domain_from_code(code):
         return table[code]
     m = re.match(r"^Zn?:(\d+)$", code)
     if m:
-        n = int(m.group(1))
+        n = _parse_int(m.group(1))
         if n < 2:
             raise ParseError(f"modulus must be >= 2 in {code!r}")
         return Mod(n)
@@ -313,6 +332,8 @@ def _int_root(n, k):
         raise ValueError("negative radicand")
     if n in (0, 1) or k == 1:
         return n
+    if k >= n.bit_length():  # a root r >= 2 would need 2**k <= r**k = n
+        return None
     lo, hi = 0, 1
     while hi**k < n:
         hi *= 2

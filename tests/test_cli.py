@@ -3,8 +3,14 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from natprod.cli import run_command
+
+
+BIG = "9" * 5000  # past Python's default int/str limit of 4300 digits
+HALF = "9" * 2200  # fits, but the product of two does not
 
 
 def run(*argv):
@@ -348,6 +354,9 @@ def _cut_json(col_cuts):
             _write(tmp / "shape.json", '{"domain":"Q","rows":true,"cols":2.0,"entries":[["1","2"]]}'),
         ],
         lambda tmp: ["poly", "diff", _write(tmp / "shape.json", _poly_json(0, rows=True))],
+        lambda tmp: ["eval", "parse-render", f"[{BIG}]"],
+        lambda tmp: ["poly", "diff", f"[1] * x^{BIG}"],
+        lambda tmp: ["eval", "add", "[1]", "[2]", "--domain", f"Zn:{BIG}"],
     ],
     ids=[
         "json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8",
@@ -357,6 +366,7 @@ def _cut_json(col_cuts):
         "solve_constant", "solve_constant_after_zero_lead",
         "json_float_deg", "json_string_deg", "json_bool_deg",
         "json_float_cut", "json_string_cuts", "json_bool_float_shape", "json_poly_bool_shape",
+        "big_entry", "big_exponent", "big_modulus",
     ],
 )
 def test_malformed_input_exits_2_without_traceback(tmp_path, argv):
@@ -384,3 +394,165 @@ def test_ideal_of_open_carrier_exits_2(tmp_path):
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
     assert "NotMember" in proc.stderr and "= [8]" in proc.stderr
+
+
+# -- big integers: refused at the boundary, never a traceback -----------------------
+
+
+@pytest.mark.parametrize(
+    "argv,error",
+    [
+        (["eval", "parse-render", f"[{BIG}]"], "ParseError"),
+        (["poly", "diff", f"[1] * x^{BIG}"], "ParseError"),
+        (["eval", "add", "[1]", "[2]", "--domain", f"Zn:{BIG}"], "ParseError"),
+        (["eval", "nprod", f"[{HALF}]", f"[{HALF}]"], "TooLarge"),
+        (["eval", "nprod", f"[{HALF}]", f"[{HALF}]", "--format", "json"], "TooLarge"),
+        (["poly", "int", "[1] * x^" + "9" * 4300], "TooLarge"),
+        (["poly", "int", "[1] * x^" + "9" * 4300, "--format", "json"], "TooLarge"),
+        (["poly", "solve", f"[1] * x^2 + [{HALF}] * x + [1]"], "TooLarge"),
+    ],
+    ids=[
+        "entry", "exponent", "modulus",
+        "out_entry_text", "out_entry_json", "out_exponent_text", "out_exponent_json",
+        "out_solve_reason",
+    ],
+)
+def test_integers_past_the_digit_limit_exit_2_naming_it(argv, error):
+    report = run(*argv)
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert error in report.diagnostics
+    assert f"sys.get_int_max_str_digits() = {sys.get_int_max_str_digits()}" in report.diagnostics
+
+
+def test_huge_degree_solve_rules_out_roots_without_the_power():
+    proc = subprocess.run(
+        [sys.executable, "-m", "natprod", "poly", "solve", "[1] * x^1000000000 + [-2]"],
+        capture_output=True,
+        text=True,
+        timeout=10,
+    )
+    assert proc.returncode == 1
+    assert proc.stdout.startswith("no roots")
+
+
+# -- each verb takes only the flags its handler reads ---------------------------------
+
+_VERB_ARGV = {
+    "eval": ["eval", "add", "[1]", "[2]"],
+    "poly": ["poly", "int", "[2] * x"],
+    "analyze": ["analyze", "carrier", "masks:1x2"],
+    "complement": ["complement", "[1 0]"],
+    "verify": ["verify", "laws", "--samples", "5"],
+}
+_FLAG_VALUE = {"format": "json", "domain": "Z", "seed": "3", "samples": "4", "const": "[1]"}
+_KEPT = {
+    "eval": ("format", "domain"),
+    "poly": ("format", "domain", "const"),
+    "analyze": ("format", "domain", "seed", "samples"),
+    "complement": ("format", "domain"),
+    "verify": ("format", "seed", "samples"),
+}
+_DROPPED = [(verb, flag) for verb in _KEPT for flag in _FLAG_VALUE if flag not in _KEPT[verb]]
+
+
+@pytest.mark.parametrize("verb,flag", [(v, f) for v in _KEPT for f in _KEPT[v]])
+def test_kept_flags_are_accepted(verb, flag):
+    report = run(*_VERB_ARGV[verb], f"--{flag}", _FLAG_VALUE[flag])
+    assert report.exit_code == 0, report.diagnostics
+
+
+@pytest.mark.parametrize("verb,flag", _DROPPED)
+def test_flags_a_verb_does_not_read_exit_2(verb, flag):
+    assert len(_DROPPED) == 11
+    report = run(*_VERB_ARGV[verb], f"--{flag}", _FLAG_VALUE[flag])
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert f"--{flag}" in report.diagnostics
+
+
+def test_internal_error_exits_3(monkeypatch):
+    import natprod.cli as cli
+
+    def broken(args):
+        raise RuntimeError("forced defect")
+
+    monkeypatch.setitem(cli._DISPATCH, "complement", broken)
+    report = run("complement", "[1]")
+    assert report.exit_code == 3
+    assert report.payload == ""
+    assert "RuntimeError: forced defect" in report.diagnostics
+    assert "Traceback" not in report.diagnostics
+
+
+# -- fuzzing the boundary: exit 0, 1 or 2, never an exception --------------------------
+
+_SUBVERBS = {
+    "eval": ["add", "nprod", "uprod", "inv", "orth", "divides", "parse-render"],
+    "poly": ["add", "nmul", "umul", "diff", "int", "degree", "monic", "solve"],
+    "analyze": ["carrier", "idempotents", "ideal", "smarandache"],
+    "complement": [],
+    # paper-examples and census read no input and take 0.5 s and 11 s: left out
+    "verify": ["laws", "bogus"],
+}
+_ENTRIES = st.sampled_from(["0", "1", "-1", "2", "-3", "1/2", "-2/3", "6"])
+_BAD_ENTRIES = st.sampled_from(["1/0", "x", "--", "|", "", HALF, BIG])
+_DOMAINS = st.sampled_from(["Q", "Z", "Q+", "Z+", "Zn:2", "Zn:6"])
+_BAD_DOMAINS = st.sampled_from(["Zn:1", f"Zn:{BIG}", "R"])
+# every carrier has at most 64 elements
+_CARRIERS = [
+    "masks:1x1", "masks:2x2", "masks:2x3:add", "masks:1x6", "masks:0x2", "masks:1x2:foo",
+    "all:1x2:Zn:4", "all:1x3:Zn:3:add", "all:2x2:Zn:2", "all:1x1:Zn:8", "all:1x2:Q", "all:x",
+]
+
+
+@st.composite
+def _matrix(draw):
+    rows, cols = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    cells = [[draw(_ENTRIES) for _ in range(cols)] for _ in range(rows)]
+    if draw(st.integers(0, 3)) == 0:  # one odd cell: a big or malformed entry
+        cells[-1][-1] = draw(_BAD_ENTRIES)
+    return "[" + ";".join(" ".join(row) for row in cells) + "]"
+
+
+_term = st.tuples(_matrix(), st.sampled_from(["", " * x", " * x^2", " * x^3", f" * x^{BIG}"]))
+_poly = st.lists(_term, min_size=1, max_size=3).map(
+    lambda terms: " + ".join(m + x for m, x in terms)
+)
+_odd_input = st.one_of(_matrix(), _poly, st.sampled_from(["{bad", "nofile", BIG]))
+_INPUTS = {"eval": _matrix(), "poly": _poly, "analyze": _matrix(), "complement": _matrix()}
+_FUZZ_FLAGS = {
+    "format": st.sampled_from(["text", "json", "text", "json", "xml"]),
+    "domain": st.one_of(_DOMAINS, _DOMAINS, _BAD_DOMAINS),
+    "seed": st.sampled_from(["0", "7", "-1", "x", BIG]),
+    "samples": st.sampled_from(["1", "5", "50", "0", "-7", "x"]),
+    "const": _matrix(),
+}
+
+
+@st.composite
+def _argv(draw):
+    verb = draw(st.sampled_from(sorted(_KEPT)))
+    argv = [verb]
+    if _SUBVERBS[verb]:
+        argv.append(draw(st.sampled_from(_SUBVERBS[verb])))
+    if verb == "analyze":
+        argv.append(draw(st.sampled_from(_CARRIERS)))
+    if verb == "verify":
+        argv += ["--samples", "5"]  # a later --samples of at most 50 may replace it
+    else:
+        operands = st.lists(_INPUTS[verb], min_size=1, max_size=2)
+        odd = st.lists(_odd_input, max_size=2)
+        argv += draw(st.one_of(operands, operands, operands, odd))
+    for flag in draw(st.lists(st.sampled_from(_KEPT[verb]), max_size=3, unique=True)):
+        argv += [f"--{flag}", draw(_FUZZ_FLAGS[flag])]
+    return argv
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(_argv())
+def test_fuzzed_argv_never_escapes_the_exit_contract(argv):
+    report = run_command(argv)
+    assert report.exit_code in (0, 1, 2), (argv, report.diagnostics)
+    if report.exit_code == 2:
+        assert report.payload == ""
