@@ -8,6 +8,9 @@ analyze {carrier|idempotents|ideal|smarandache},
 complement <matrix>, verify {paper-examples|laws|census}.
 
 Each verb takes only the flags its handler reads; any other flag exits 2.
+Each handler imports the layers it runs, so a child process loads only
+what its verb needs.  `--samples` is bounded per verb: LAWS_MAX_SAMPLES
+for `verify laws`, ANALYZE_MAX_SAMPLES for `analyze carrier`.
 
 Exit codes: 0 success, 1 negative finding (false predicate, no roots,
 failed suite case), 2 usage or parse errors, 3 internal error (any other
@@ -23,12 +26,8 @@ import json
 import os
 import sys
 from contextlib import redirect_stderr
-from dataclasses import dataclass
 
-from . import matpoly as mp
-from . import structures as st
-from . import verify as vf
-from .errors import NatProdError, NoRationalRoot, ParseError, TooLarge, TypeMismatch
+from .errors import NatProdError, NoRationalRoot, ParseError, TooLarge, TypeMismatch, shorten
 from .matrix import (
     Matrix,
     _shape,
@@ -42,12 +41,30 @@ from .matrix import (
 )
 from .scalars import Q, _past_digit_limit, domain_from_code
 
+LAWS_MAX_SAMPLES = 100_000
+ANALYZE_MAX_SAMPLES = 100_000
 
-@dataclass
+
 class RunReport:
-    exit_code: int
-    payload: str = ""
-    diagnostics: str = ""
+    """One command's outcome: exit code, stdout payload, stderr diagnostics."""
+
+    __slots__ = ("exit_code", "payload", "diagnostics")
+
+    def __init__(self, exit_code, payload="", diagnostics=""):
+        self.exit_code = exit_code
+        self.payload = payload
+        self.diagnostics = diagnostics
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
+
+    __hash__ = None
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"RunReport({fields})"
 
 
 _FLAGS = {
@@ -108,8 +125,8 @@ def _read_source(token):
             with open(token, "r", encoding="utf-8") as handle:
                 return handle.read().strip()
         except (OSError, UnicodeDecodeError) as exc:
-            raise ParseError(f"cannot read {token}: {exc}") from None
-    raise ParseError(f"no such file: {token}")
+            raise ParseError(f"cannot read {shorten(token)}: {exc}") from None
+    raise ParseError(f"no such file: {shorten(token)}")
 
 
 def _load_matrix(token, domain) -> Matrix:
@@ -119,7 +136,9 @@ def _load_matrix(token, domain) -> Matrix:
     return parse_literal(text, domain)
 
 
-def _load_poly(token, domain) -> mp.MatPoly:
+def _load_poly(token, domain):
+    from . import matpoly as mp
+
     text = _read_source(token)
     if text.startswith("{"):
         return mp.poly_from_json(text)
@@ -141,7 +160,9 @@ def _emit_matrix(m: Matrix, fmt):
     return _emit(fmt, m, matrix_to_json, render_matrix)
 
 
-def _emit_poly(p: mp.MatPoly, fmt):
+def _emit_poly(p, fmt):
+    from . import matpoly as mp
+
     return _emit(fmt, p, mp.poly_to_json, mp.render_poly)
 
 
@@ -181,7 +202,9 @@ def _cmd_eval(args):
     return RunReport(0, _emit_matrix(quotient, fmt))
 
 
-def _solve(p: mp.MatPoly, fmt):
+def _solve(p, fmt):
+    from . import matpoly as mp
+
     degree = p.degree()
     if degree is None:
         raise ParseError("cannot solve the zero polynomial")
@@ -224,6 +247,8 @@ def _solve(p: mp.MatPoly, fmt):
 
 
 def _cmd_poly(args):
+    from . import matpoly as mp
+
     fmt = args.format
     domain = domain_from_code(args.domain)
     polys = [_load_poly(tok, domain) for tok in args.inputs]
@@ -259,6 +284,8 @@ def _cmd_poly(args):
 
 def _parse_carrier(spec, domain):
     """masks:RxC[:add] | all:RxC:Zn:N[:add] | file of matrix literals."""
+    from . import structures as st
+
     if spec.startswith("masks:") or spec.startswith("all:"):
         parts = spec.split(":")
         op = st.NATURAL_PRODUCT
@@ -266,12 +293,12 @@ def _parse_carrier(spec, domain):
             op = st.ADDITION
             parts = parts[:-1]
         if parts[0] == "masks" and len(parts) > 2:
-            raise ParseError(f"bad carrier spec {spec!r}: expected masks:RxC[:add]")
+            raise ParseError(f"bad carrier spec {shorten(spec)!r}: expected masks:RxC[:add]")
         try:
             rows, cols = parts[1].lower().split("x")
             shape = _shape((int(rows), int(cols)))
         except (ValueError, IndexError):
-            raise ParseError(f"bad carrier shape in {spec!r}") from None
+            raise ParseError(f"bad carrier shape in {shorten(spec)!r}") from None
         if parts[0] == "masks":
             return st.Carrier.masks(shape, op=op)
         mod = domain_from_code(":".join(parts[2:]))
@@ -282,15 +309,21 @@ def _parse_carrier(spec, domain):
         for line in text.splitlines()
         if line.strip()
     ]
-    return st.Carrier.explicit(members)
+    try:
+        return st.Carrier.explicit(members)
+    except ValueError as exc:  # no members, or a member listed twice
+        raise ParseError(f"bad carrier file {shorten(spec)}: {exc}") from None
 
 
-def _samples(args, default):
-    """The --samples value (default when absent); at least 1."""
+def _samples(args, default, bound):
+    """The --samples value (default when absent); at least 1, at most `bound`."""
     if args.samples is None:
         return default
+    got = shorten(str(args.samples))
     if args.samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {args.samples}")
+        raise ParseError(f"--samples must be at least 1, got {got}")
+    if args.samples > bound:
+        raise TooLarge(f"--samples must be at most {bound}, got {got}")
     return args.samples
 
 
@@ -303,12 +336,15 @@ def _listing(fmt, head_json, head_text, key, members):
 
 
 def _cmd_analyze(args):
+    from . import structures as st
+
     fmt = args.format
     domain = domain_from_code(args.domain)
     carrier = _parse_carrier(args.inputs[0], domain)
 
     if args.subverb == "carrier":
-        report = st.analyze(carrier, seed=args.seed, samples=_samples(args, 400))
+        samples = _samples(args, 400, ANALYZE_MAX_SAMPLES)
+        report = st.analyze(carrier, seed=args.seed, samples=samples)
         return RunReport(0, _emit(fmt, report, lambda r: r.to_json(), lambda r: r.table()))
     if args.subverb == "idempotents":
         idems = st.idempotents_in(carrier)
@@ -330,6 +366,8 @@ def _cmd_analyze(args):
 
 
 def _cmd_complement(args):
+    from . import structures as st
+
     domain = domain_from_code(args.domain)
     m = _load_matrix(args.inputs[0], domain).base
     mask = str(main_complement(m))
@@ -344,10 +382,13 @@ def _cmd_complement(args):
 
 
 def _cmd_verify(args):
+    from . import verify as vf
+
     if args.suite not in vf.SUITES:
-        raise ParseError(f"unknown suite {args.suite!r}")
+        raise ParseError(f"unknown suite {shorten(args.suite)!r}")
     if args.suite == "laws":
-        results = vf.run_laws(seed=args.seed, samples=_samples(args, 10000))
+        samples = _samples(args, 10000, LAWS_MAX_SAMPLES)
+        results = vf.run_laws(seed=args.seed, samples=samples)
     else:
         results = vf.SUITES[args.suite]()
     failed = sum(1 for r in results if not r.ok)

@@ -1,5 +1,15 @@
 """Exception hierarchy shared across the package."""
 
+TOKEN_SHOWN = 40
+
+
+def shorten(token):
+    """`token` as an error message shows it: past TOKEN_SHOWN characters,
+    its prefix and its length."""
+    if len(token) <= TOKEN_SHOWN:
+        return token
+    return f"{token[:TOKEN_SHOWN]}... ({len(token)} characters)"
+
 
 class NatProdError(Exception):
     """Base class for every contract violation raised by this package."""

@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -36,6 +35,7 @@ from .errors import (
     TypeMismatch,
     UnsupportedDomain,
     ZeroLead,
+    shorten,
 )
 from .matrix import (
     JSON_INPUT_ERRORS,
@@ -375,7 +375,6 @@ def monicize_usual(p: MatPoly) -> MatPoly:
     )
 
 
-@dataclass(frozen=True)
 class RootSet:
     """Roots of a componentwise equation.
 
@@ -385,9 +384,33 @@ class RootSet:
     enumerated.
     """
 
-    roots: tuple = ()
-    componentwise_signs: bool = False
-    reason: str | None = None
+    __slots__ = ("roots", "componentwise_signs", "reason")
+
+    def __init__(self, roots=(), componentwise_signs=False, reason=None):
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "componentwise_signs", componentwise_signs)
+        object.__setattr__(self, "reason", reason)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RootSet is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("RootSet is immutable")
+
+    def _fields(self):
+        return (self.roots, self.componentwise_signs, self.reason)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
+        return f"RootSet({fields})"
 
     def __iter__(self):
         return iter(self.roots)
@@ -515,7 +538,7 @@ def parse_poly(text: str, domain: Domain = Q) -> MatPoly:
     for part in _split_terms(text):
         m = _TERM_RE.match(part)
         if not m:
-            raise ParseError(f"bad polynomial term {part.strip()!r}")
+            raise ParseError(f"bad polynomial term {shorten(part.strip())!r}")
         literal, xmark, power = m.groups()
         deg = 0 if xmark is None else (1 if power is None else _parse_int(power))
         terms.append((deg, parse_literal(literal, domain)))

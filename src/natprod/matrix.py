@@ -33,6 +33,7 @@ from .errors import (
     TooLarge,
     TypeMismatch,
     ZeroDivisorEntry,
+    shorten,
 )
 from .scalars import Domain, Q, Scalar, Z, domain_from_code
 
@@ -728,7 +729,7 @@ JSON_INPUT_ERRORS = (ValueError, KeyError, TypeError, AttributeError)
 def _json_int(value, what):
     """`value` if it is a JSON integer; floats, strings and booleans are refused."""
     if type(value) is not int:
-        raise ParseError(f"{what} must be a JSON integer, got {value!r}")
+        raise ParseError(f"{what} must be a JSON integer, got {shorten(repr(value))}")
     return value
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
@@ -22,6 +21,7 @@ from .errors import (
     ParseError,
     TooLarge,
     UnsupportedDomain,
+    shorten,
 )
 
 INT_KIND = "int"
@@ -199,14 +199,14 @@ class Domain:
     def parse(self, text):
         text = text.strip()
         if not _SCALAR_RE.match(text):
-            raise ParseError(f"bad scalar literal {text!r}")
+            raise ParseError(f"bad scalar literal {shorten(text)!r}")
         if "/" in text:
             num, den = map(_parse_int, text.split("/"))
             if den == 0:
-                raise ParseError(f"zero denominator in {text!r}")
+                raise ParseError(f"zero denominator in {shorten(text)!r}")
             value = Fraction(num, den)
             if value.denominator != 1 and not self.is_rational:
-                raise ParseError(f"{text} is not an integer in {self.code}")
+                raise ParseError(f"{shorten(text)} is not an integer in {self.code}")
         else:
             value = _parse_int(text)
         return self.coerce(value)
@@ -251,20 +251,33 @@ def domain_from_code(code):
     if m:
         n = _parse_int(m.group(1))
         if n < 2:
-            raise ParseError(f"modulus must be >= 2 in {code!r}")
+            raise ParseError(f"modulus must be >= 2 in {shorten(code)!r}")
         return Mod(n)
-    raise ParseError(f"unknown domain {code!r}")
+    raise ParseError(f"unknown domain {shorten(code)!r}")
 
 
-@dataclass(frozen=True)
 class Scalar:
     """One exact value tagged with its domain."""
 
-    domain: Domain
-    value: object
+    __slots__ = ("domain", "value")
 
-    def __post_init__(self):
-        object.__setattr__(self, "value", self.domain.coerce(self.value))
+    def __init__(self, domain: Domain, value):
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "value", domain.coerce(value))
+
+    def __setattr__(self, name, value):
+        raise AttributeError("Scalar is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError("Scalar is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.domain, self.value) == (other.domain, other.value)
+
+    def __hash__(self):
+        return hash((self.domain, self.value))
 
     def _peer(self, other):
         if not isinstance(other, Scalar):

@@ -216,6 +216,13 @@ class _Table:
         self._apply = apply
         self._memo = {}
 
+    def member(self, m: Matrix) -> int:
+        """The index of a carrier member; NotMember for anything else."""
+        k = self.index.get(m)
+        if k is None or k >= self.n:
+            raise NotMember(f"{render_matrix(m)} is not a carrier member")
+        return k
+
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
         if k is None:
@@ -364,9 +371,7 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
         raise UnsupportedDomain("ideals are computed under the natural product")
     table = _Table(carrier.elements(max_elements), carrier.apply)
     elements, n = table.elements, table.n
-    g = table.index.get(x)
-    if g is None:
-        raise NotMember(f"{render_matrix(x)} is not a carrier member")
+    g = table.member(x)
     inside, todo = {g}, [g]
     for f in todo:
         for s in range(n):
@@ -394,15 +399,17 @@ def is_smarandache(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
     return table.members(table.smarandache(table.h_classes(table.idempotents())))
 
 
-def is_subsemigroup(carrier: Carrier, subset):
-    """Is the subset closed under the carrier operation?"""
-    return _Table(dict.fromkeys(subset), carrier.apply).closure_witness() is None
+def is_subsemigroup(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
+    """Is the subset of carrier members closed under the carrier operation?"""
+    table = _Table(carrier.elements(max_elements), carrier.apply)
+    inside = {table.member(m) for m in subset}
+    return all(table.product(a, b) in inside for a in inside for b in inside)
 
 
 def is_ideal(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
-    """Does the subset absorb multiplication by every carrier element?"""
+    """Does the subset of carrier members absorb multiplication by every member?"""
     table = _Table(carrier.elements(max_elements), carrier.apply)
-    inside = {table.intern(m) for m in subset}
+    inside = {table.member(m) for m in subset}
     return all(table.product(a, s) in inside for a in inside for s in range(table.n))
 
 

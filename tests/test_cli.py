@@ -1,11 +1,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from natprod import cli, matrix_to_json, parse_literal, parse_poly, poly_to_json
 from natprod.cli import run_command
 
 
@@ -101,6 +103,49 @@ def test_samples_below_one_exit_2(argv):
     assert report.payload == ""
     assert "ParseError" in report.diagnostics
     assert "--samples must be at least 1" in report.diagnostics
+
+
+@pytest.mark.parametrize(
+    "argv,bound",
+    [
+        (("verify", "laws", "--samples", "100000000"), cli.LAWS_MAX_SAMPLES),
+        (("analyze", "carrier", "masks:3x3", "--samples", "1000000000"), cli.ANALYZE_MAX_SAMPLES),
+        (("analyze", "carrier", "masks:3x3", "--samples", str(cli.ANALYZE_MAX_SAMPLES + 1)),
+         cli.ANALYZE_MAX_SAMPLES),
+    ],
+)
+def test_samples_past_the_bound_exit_2_at_once(argv, bound):
+    start = time.perf_counter()
+    report = run(*argv)
+    assert time.perf_counter() - start < 1.0
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert f"TooLarge: --samples must be at most {bound}" in report.diagnostics
+
+
+def test_samples_bounds_admit_the_defaults():
+    assert cli.LAWS_MAX_SAMPLES >= 10000 and cli.ANALYZE_MAX_SAMPLES >= 400
+    bound = str(cli.ANALYZE_MAX_SAMPLES)
+    assert run("analyze", "carrier", "masks:1x2", "--samples", bound).exit_code == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("eval", "nprod", BIG, "[1]"),
+        ("eval", "nprod", "[1 " + "x" * 5000 + "]", "[1 2]"),
+        ("eval", "nprod", "[1]", "[1]", "--domain", "Zn:" + "x" * 5000),
+        ("poly", "add", "[1] + " + "y" * 5000, "[1]"),
+        ("analyze", "carrier", "masks:" + "9" * 5000 + "x1"),
+    ],
+    ids=["file", "entry", "domain", "poly_term", "carrier_spec"],
+)
+def test_long_tokens_are_shortened_in_errors(argv):
+    report = run(*argv)
+    assert report.exit_code == 2
+    assert report.payload == ""
+    assert len(report.diagnostics) < 200
+    assert "(5" in report.diagnostics and "characters)" in report.diagnostics
 
 
 @pytest.mark.parametrize("spec", ["masks:1x2:foo", "masks:1x2:add:add", "masks:1x2:nproduct"])
@@ -341,6 +386,8 @@ def _cut_json(col_cuts):
         lambda tmp: [
             "analyze", "carrier", _write(tmp / "carrier.txt", "[1]\n[1/2]\n"), "--domain", "Z",
         ],
+        lambda tmp: ["analyze", "carrier", _write(tmp / "carrier.txt", "\n")],
+        lambda tmp: ["analyze", "carrier", _write(tmp / "carrier.txt", "[1 2]\n[1 2]\n")],
         lambda tmp: ["analyze", "ideal", "all:1x2:Zn:3", "[1/2 3]"],
         lambda tmp: ["poly", "solve", "[5]"],
         lambda tmp: ["poly", "solve", "[0] * x^2 + [1]"],
@@ -362,7 +409,8 @@ def _cut_json(col_cuts):
         "json_syntax", "json_number_entries", "json_missing_key", "directory", "non_utf8",
         "carrier_zero_rows", "carrier_zero_cols",
         "fraction_in_Z", "fraction_in_Z_plus", "fraction_in_Zn", "fraction_in_poly",
-        "fraction_in_carrier_file", "fraction_in_ideal_element",
+        "fraction_in_carrier_file", "empty_carrier_file", "carrier_file_repeats_a_member",
+        "fraction_in_ideal_element",
         "solve_constant", "solve_constant_after_zero_lead",
         "json_float_deg", "json_string_deg", "json_bool_deg",
         "json_float_cut", "json_string_cuts", "json_bool_float_shape", "json_poly_bool_shape",
@@ -554,5 +602,61 @@ def _argv(draw):
 def test_fuzzed_argv_never_escapes_the_exit_contract(argv):
     report = run_command(argv)
     assert report.exit_code in (0, 1, 2), (argv, report.diagnostics)
+    if report.exit_code == 2:
+        assert report.payload == ""
+
+
+# -- fuzzing file inputs: the bytes of a file named on the command line ---------------
+
+_VALID_FILES = [
+    json.dumps(obj).encode()
+    for obj in (
+        matrix_to_json(parse_literal("[1 -2/3;0 4]")),
+        matrix_to_json(parse_literal("[1 | 2;-- ;3 | 4]")),
+        poly_to_json(parse_poly("[1 2] + [0 3] * x^2")),
+    )
+] + [b"[1 2;3 4]\n[0 1;1 0]\n", b"[1 2] + [3 4] * x^3\n"]
+
+
+@st.composite
+def _mutated(draw):
+    """A valid JSON or literal file, truncated or with one byte replaced or inserted."""
+    data = bytearray(draw(st.sampled_from(_VALID_FILES)))
+    at = draw(st.integers(0, len(data) - 1))
+    edit = draw(st.sampled_from(["truncate", "replace", "insert"]))
+    if edit == "truncate":
+        return bytes(data[:at])
+    byte = draw(st.sampled_from(b'{}[]",:;|-/ x0\xff\n'))
+    if edit == "replace":
+        data[at] = byte
+    else:
+        data.insert(at, byte)
+    return bytes(data)
+
+
+_FILE_BYTES = st.one_of(
+    st.binary(max_size=64),
+    _mutated(),
+    _mutated(),
+    st.lists(_matrix(), min_size=1, max_size=4).map(lambda ms: "\n".join(ms).encode()),
+    _poly.map(str.encode),
+)
+_FILE_VERBS = [("eval", "parse-render"), ("poly", "degree"), ("analyze", "carrier")]
+
+
+# The one input file is rewritten by every example, so sharing tmp_path is safe.
+@settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    database=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(verb=st.sampled_from(_FILE_VERBS), content=_FILE_BYTES)
+def test_fuzzed_file_bytes_never_escape_the_exit_contract(tmp_path, verb, content):
+    path = tmp_path / "input"
+    path.write_bytes(content)
+    report = run_command([*verb, str(path)])
+    assert report.exit_code in (0, 1, 2), (verb, content, report.diagnostics)
     if report.exit_code == 2:
         assert report.payload == ""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -34,6 +35,7 @@ from natprod import (
     is_subsemigroup,
     ones,
     orthogonal_space,
+    render_matrix,
     subspace_complement,
     support,
     zeros,
@@ -499,12 +501,27 @@ def test_subset_questions_match_direct_products(name):
     subsets = [[m] for m in elements] + [elements, elements[::2]]
     if carrier.op != ADDITION and _ref_is_subsemigroup(carrier, elements):
         subsets += [ideal_generated(carrier, x).members for x in elements[::7]]
-    outsider = _outsider(carrier)
-    if outsider is not None:
-        subsets += [[outsider], [elements[0], outsider], [*elements, outsider]]
     for subset in subsets:
         assert is_subsemigroup(carrier, subset) == _ref_is_subsemigroup(carrier, subset)
         assert is_ideal(carrier, subset) == _ref_is_ideal(carrier, subset)
+    outsider = _outsider(carrier)
+    if outsider is not None:
+        for subset in ([outsider], [elements[0], outsider], [*elements, outsider]):
+            for question in (is_subsemigroup, is_ideal):
+                with pytest.raises(NotMember, match=re.escape(render_matrix(outsider))):
+                    question(carrier, subset)
+
+
+@pytest.mark.parametrize("question", [is_ideal, is_subsemigroup])
+def test_subset_questions_refuse_a_non_member(question):
+    carrier = Carrier.masks((1, 1))
+    # [2] over Z+ and [0] over Z: neither is a member of the Z+ masks {[0], [1]}
+    for subset, outsider in (
+        ([row([0], Z_PLUS), row([2], Z_PLUS)], "[2]"),
+        ([Matrix.from_rows([[0]], Z)], "[0]"),
+    ):
+        with pytest.raises(NotMember, match=re.escape(f"{outsider} is not a carrier member")):
+            question(carrier, subset)
 
 
 def test_single_read_walks_compute_each_product_once(monkeypatch):
