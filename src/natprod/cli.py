@@ -21,13 +21,22 @@ payload goes through _emit, whose JSON has sorted keys.
 from __future__ import annotations
 
 import argparse
+import collections
 import io
 import json
 import os
 import sys
 from contextlib import redirect_stderr
 
-from .errors import NatProdError, NoRationalRoot, ParseError, TooLarge, TypeMismatch, shorten
+from .errors import (
+    TOKEN_SHOWN,
+    NatProdError,
+    NoRationalRoot,
+    ParseError,
+    TooLarge,
+    TypeMismatch,
+    shorten,
+)
 from .matrix import (
     Matrix,
     _shape,
@@ -45,26 +54,8 @@ LAWS_MAX_SAMPLES = 100_000
 ANALYZE_MAX_SAMPLES = 100_000
 
 
-class RunReport:
-    """One command's outcome: exit code, stdout payload, stderr diagnostics."""
-
-    __slots__ = ("exit_code", "payload", "diagnostics")
-
-    def __init__(self, exit_code, payload="", diagnostics=""):
-        self.exit_code = exit_code
-        self.payload = payload
-        self.diagnostics = diagnostics
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, k) == getattr(other, k) for k in self.__slots__)
-
-    __hash__ = None
-
-    def __repr__(self):
-        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)
-        return f"RunReport({fields})"
+# One command's outcome: exit code, stdout payload, stderr diagnostics.
+RunReport = collections.namedtuple("RunReport", "exit_code payload diagnostics", defaults=("", ""))
 
 
 _FLAGS = {
@@ -429,6 +420,16 @@ def verify_suite(name, seed=0, samples=None, fmt="text") -> RunReport:
     return run_command(argv)
 
 
+def _shorten_tokens(message, argv):
+    """argparse's message with each long argv token shortened, as it is
+    shown raw or inside a repr."""
+    for token in argv:
+        if len(token) > TOKEN_SHOWN:
+            for shown in (token, repr(token)[1:-1]):
+                message = message.replace(shown, shorten(token))
+    return message
+
+
 def run_command(argv) -> RunReport:
     """Parse argv and run one command; never raises, never exits."""
     parser = _build_parser()
@@ -438,7 +439,7 @@ def run_command(argv) -> RunReport:
             args = parser.parse_args(argv)
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
-        return RunReport(2 if code != 0 else 0, "", captured.getvalue())
+        return RunReport(2 if code != 0 else 0, "", _shorten_tokens(captured.getvalue(), argv))
     try:
         return _DISPATCH[args.verb](args)
     except NatProdError as exc:

@@ -397,6 +397,9 @@ class RootSet:
     def __delattr__(self, name):
         raise AttributeError("RootSet is immutable")
 
+    def __reduce__(self):
+        return RootSet, self._fields()
+
     def _fields(self):
         return (self.roots, self.componentwise_signs, self.reason)
 

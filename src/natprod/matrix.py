@@ -84,6 +84,9 @@ class PartitionType:
     def __setattr__(self, name, value):
         raise AttributeError("PartitionType is immutable")
 
+    def __reduce__(self):
+        return PartitionType, (self.shape, self.row_cuts, self.col_cuts)
+
     def __eq__(self, other):
         return (
             isinstance(other, PartitionType)
@@ -129,6 +132,9 @@ class Matrix:
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
+
+    def __reduce__(self):
+        return Matrix._make, (self.shape, self.domain, self.values, self.partition)
 
     @classmethod
     def _make(cls, shape, domain, values, partition=None):

@@ -58,6 +58,9 @@ class Domain:
     def __setattr__(self, name, value):
         raise AttributeError("Domain is immutable")
 
+    def __reduce__(self):
+        return Domain, (self.kind, self.modulus)
+
     def __eq__(self, other):
         return (
             isinstance(other, Domain)
@@ -270,6 +273,9 @@ class Scalar:
 
     def __delattr__(self, name):
         raise AttributeError("Scalar is immutable")
+
+    def __reduce__(self):
+        return Scalar, (self.domain, self.value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

@@ -116,6 +116,19 @@ class Carrier:
             )
         return tuple(sorted(self.members, key=lambda m: m.values))
 
+    def __contains__(self, m):
+        """Membership without enumerating the carrier."""
+        if not (
+            isinstance(m, Matrix)
+            and m.shape == self.shape
+            and m.domain == self.domain
+            and m.partition is None
+        ):
+            return False
+        if self.kind == "masks":
+            return all(v == self.domain.zero or v == self.domain.one for v in m.values)
+        return self.kind == "all" or m in self.members
+
     def apply(self, a: Matrix, b: Matrix) -> Matrix:
         return a * b if self.op == NATURAL_PRODUCT else a + b
 
@@ -215,13 +228,6 @@ class _Table:
         self.index = {m: i for i, m in enumerate(self.elements)}
         self._apply = apply
         self._memo = {}
-
-    def member(self, m: Matrix) -> int:
-        """The index of a carrier member; NotMember for anything else."""
-        k = self.index.get(m)
-        if k is None or k >= self.n:
-            raise NotMember(f"{render_matrix(m)} is not a carrier member")
-        return k
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -371,7 +377,9 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
         raise UnsupportedDomain("ideals are computed under the natural product")
     table = _Table(carrier.elements(max_elements), carrier.apply)
     elements, n = table.elements, table.n
-    g = table.member(x)
+    g = table.index.get(x)
+    if g is None:
+        raise NotMember(f"{render_matrix(x)} is not a carrier member")
     inside, todo = {g}, [g]
     for f in todo:
         for s in range(n):
@@ -399,17 +407,25 @@ def is_smarandache(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
     return table.members(table.smarandache(table.h_classes(table.idempotents())))
 
 
-def is_subsemigroup(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
+def _members(carrier: Carrier, subset):
+    """The subset's distinct elements, in order; NotMember for the first
+    that is not a carrier member."""
+    members = dict.fromkeys(subset)
+    for m in members:
+        if m not in carrier:
+            raise NotMember(f"{render_matrix(m)} is not a carrier member")
+    return members
+
+
+def is_subsemigroup(carrier: Carrier, subset):
     """Is the subset of carrier members closed under the carrier operation?"""
-    table = _Table(carrier.elements(max_elements), carrier.apply)
-    inside = {table.member(m) for m in subset}
-    return all(table.product(a, b) in inside for a in inside for b in inside)
+    return _Table(_members(carrier, subset), carrier.apply).closure_witness() is None
 
 
 def is_ideal(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
     """Does the subset of carrier members absorb multiplication by every member?"""
     table = _Table(carrier.elements(max_elements), carrier.apply)
-    inside = {table.member(m) for m in subset}
+    inside = {table.index[m] for m in _members(carrier, subset)}
     return all(table.product(a, s) in inside for a in inside for s in range(table.n))
 
 

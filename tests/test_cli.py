@@ -148,6 +148,26 @@ def test_long_tokens_are_shortened_in_errors(argv):
     assert "(5" in report.diagnostics and "characters)" in report.diagnostics
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "laws", "--samples", BIG),
+        ("analyze", "carrier", "masks:1x1", "--samples", "x" * 5000),
+        ("analyze", "carrier", "masks:1x1", "--seed", "x" * 5000),
+        ("eval", "n" * 5000, "[1]"),
+        ("eval", "nprod", "[1]", "[1]", "--" + "f" * 5000),
+    ],
+    ids=["samples_digits", "samples_text", "seed", "subverb", "flag"],
+)
+def test_long_tokens_are_shortened_in_usage_errors(argv):
+    report = run(*argv)
+    assert report.exit_code == 2
+    assert report.payload == ""
+    # the usage text comes first; the token itself is cut to its prefix
+    assert len(report.diagnostics) < 600
+    assert "(5000 characters)" in report.diagnostics or "(5002 characters)" in report.diagnostics
+
+
 @pytest.mark.parametrize("spec", ["masks:1x2:foo", "masks:1x2:add:add", "masks:1x2:nproduct"])
 def test_masks_carrier_takes_one_add_suffix_only(spec):
     report = run("analyze", "carrier", spec)

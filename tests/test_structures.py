@@ -40,7 +40,7 @@ from natprod import (
     support,
     zeros,
 )
-from natprod.structures import ASSOC_EXHAUSTIVE_LIMIT, StructureReport
+from natprod.structures import ASSOC_EXHAUSTIVE_LIMIT, DEFAULT_MAX_ELEMENTS, StructureReport
 from natprod.verify import rand_matrix
 
 
@@ -497,6 +497,7 @@ def _outsider(carrier):
 def test_subset_questions_match_direct_products(name):
     carrier = REFERENCE_CARRIERS[name]
     elements = carrier.elements()
+    assert all(m in carrier for m in elements)
     assert idempotents_in(carrier) == _ref_idempotents_in(carrier)
     subsets = [[m] for m in elements] + [elements, elements[::2]]
     if carrier.op != ADDITION and _ref_is_subsemigroup(carrier, elements):
@@ -522,6 +523,23 @@ def test_subset_questions_refuse_a_non_member(question):
     ):
         with pytest.raises(NotMember, match=re.escape(f"{outsider} is not a carrier member")):
             question(carrier, subset)
+
+
+def test_is_subsemigroup_answers_past_the_enumeration_bound():
+    # 2^16 masks and 10^4 matrices over Z_10: neither carrier is enumerated
+    masks, residues = Carrier.masks(Shape(4, 4)), Carrier.all_matrices(Shape(2, 2), Mod(10))
+    assert min(masks.cardinality(), residues.cardinality()) > DEFAULT_MAX_ELEMENTS
+    assert is_subsemigroup(masks, [ones(Shape(4, 4), Z_PLUS)])
+    # [1 1 0 0] * [0 1 1 0] = [0 1 0 0] in the first row
+    pair = [
+        Matrix(Shape(4, 4), Z_PLUS, [1, 1] + [0] * 14),
+        Matrix(Shape(4, 4), Z_PLUS, [0, 1, 1] + [0] * 13),
+    ]
+    assert not is_subsemigroup(masks, pair)
+    assert is_subsemigroup(residues, [sq([[5, 6], [1, 0]], Mod(10))])
+    assert not is_subsemigroup(residues, [sq([[2, 0], [0, 0]], Mod(10))])
+    with pytest.raises(NotMember, match=re.escape("[2 2 2 2")):
+        is_subsemigroup(masks, [ones(Shape(4, 4), Z_PLUS).scale(2)])
 
 
 def test_single_read_walks_compute_each_product_once(monkeypatch):
