@@ -39,8 +39,10 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
+    _parse_span,
     _shape,
     divides,
+    is_orthogonal,
     main_complement,
     matrix_from_json,
     matrix_to_json,
@@ -107,14 +109,14 @@ def _build_parser():
 
 
 def _read_source(token):
-    """Inline literal / JSON text, or the contents of a file path."""
-    stripped = token.strip()
-    if stripped.startswith("[") or stripped.startswith("{"):
-        return stripped
+    """Inline literal / JSON text, or the contents of a file path, as given,
+    so that parse errors count lines and columns in the user's input."""
+    if token.lstrip().startswith(("[", "{")):
+        return token
     if os.path.exists(token):
         try:
             with open(token, "r", encoding="utf-8") as handle:
-                return handle.read().strip()
+                return handle.read()
         except (OSError, UnicodeDecodeError) as exc:
             raise ParseError(f"cannot read {shorten(token)}: {exc}") from None
     raise ParseError(f"no such file: {shorten(token)}")
@@ -122,7 +124,7 @@ def _read_source(token):
 
 def _load_matrix(token, domain) -> Matrix:
     text = _read_source(token)
-    if text.startswith("{"):
+    if text.lstrip().startswith("{"):
         return matrix_from_json(text)
     return parse_literal(text, domain)
 
@@ -131,7 +133,7 @@ def _load_poly(token, domain):
     from . import matpoly as mp
 
     text = _read_source(token)
-    if text.startswith("{"):
+    if text.lstrip().startswith("{"):
         return mp.poly_from_json(text)
     return mp.parse_poly(text, domain)
 
@@ -184,7 +186,7 @@ def _cmd_eval(args):
     if args.subverb == "orth":
         if a.partition != b.partition:
             raise TypeMismatch("operands carry different partitions")
-        flag = (a * b).is_zero()
+        flag = is_orthogonal(a, b)
         payload = _emit(fmt, flag, lambda f: {"orthogonal": f}, lambda f: str(f).lower())
         return RunReport(0 if flag else 1, payload)
     quotient = divides(a, b)
@@ -295,11 +297,11 @@ def _parse_carrier(spec, domain):
         mod = domain_from_code(":".join(parts[2:]))
         return st.Carrier.all_matrices(shape, mod, op=op)
     text = _read_source(spec)
-    members = [
-        parse_literal(line, domain).base
-        for line in text.splitlines()
-        if line.strip()
-    ]
+    members, start = [], 0
+    for line in text.splitlines(keepends=True):
+        if line.strip():
+            members.append(_parse_span(text, start, start + len(line), domain).base)
+        start += len(line)
     try:
         return st.Carrier.explicit(members)
     except ValueError as exc:  # no members, or a member listed twice

@@ -46,20 +46,21 @@ from .matrix import (
     _json_cuts,
     _json_int,
     _lift,
+    _location,
     _lower,
+    _parse_span,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
     ones,
-    parse_literal,
     render_matrix,
     usual_inverse,
     zeros,
 )
-from .scalars import Domain, Q, Scalar, Z, _parse_int, domain_from_code, kth_root
+from .scalars import Domain, Q, Scalar, Z, _parse_int, _Value, domain_from_code, kth_root
 
 
-class MatPoly:
+class MatPoly(_Value):
     """A finite sum of (degree, coefficient) terms; zero terms are dropped."""
 
     __slots__ = ("shape", "domain", "ptype", "_terms")
@@ -96,9 +97,6 @@ class MatPoly:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "ptype", ptype)
         object.__setattr__(self, "_terms", dict(cleaned))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("MatPoly is immutable")
 
     @classmethod
     def from_terms(cls, terms):
@@ -375,7 +373,7 @@ def monicize_usual(p: MatPoly) -> MatPoly:
     )
 
 
-class RootSet:
+class RootSet(_Value):
     """Roots of a componentwise equation.
 
     `componentwise_signs` notes that beyond the aligned pair listed here,
@@ -390,15 +388,6 @@ class RootSet:
         object.__setattr__(self, "roots", roots)
         object.__setattr__(self, "componentwise_signs", componentwise_signs)
         object.__setattr__(self, "reason", reason)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RootSet is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("RootSet is immutable")
-
-    def __reduce__(self):
-        return RootSet, self._fields()
 
     def _fields(self):
         return (self.roots, self.componentwise_signs, self.reason)
@@ -502,7 +491,7 @@ def solve_quadratic(a: Matrix, b: Matrix, c: Matrix) -> RootSet:
 
 # -- text and JSON forms -----------------------------------------------------
 
-_TERM_RE = re.compile(r"^\s*(\[.*\])\s*(?:(\*\s*x)(?:\^(\d+))?)?\s*$", re.S)
+_TERM_RE = re.compile(r"\s*(\[.*\])\s*(?:(\*\s*x)(?:\^(\d+))?)?\s*", re.S)
 
 
 def render_poly(p: MatPoly) -> str:
@@ -522,29 +511,34 @@ def render_poly(p: MatPoly) -> str:
 
 
 def _split_terms(text):
-    """Split on '+' at bracket depth zero."""
-    parts, depth, start = [], 0, 0
+    """(start, end) of each term: `text` split on '+' at bracket depth zero."""
+    spans, depth, start = [], 0, 0
     for i, ch in enumerate(text):
         if ch == "[":
             depth += 1
         elif ch == "]":
             depth -= 1
         elif ch == "+" and depth == 0:
-            parts.append(text[start:i])
+            spans.append((start, i))
             start = i + 1
-    parts.append(text[start:])
-    return parts
+    spans.append((start, len(text)))
+    return spans
 
 
 def parse_poly(text: str, domain: Domain = Q) -> MatPoly:
+    """Parse `COEFF * x^K + ...`; error positions count in all of `text`."""
     terms = []
-    for part in _split_terms(text):
-        m = _TERM_RE.match(part)
+    for start, end in _split_terms(text):
+        m = _TERM_RE.fullmatch(text, start, end)
         if not m:
-            raise ParseError(f"bad polynomial term {shorten(part.strip())!r}")
-        literal, xmark, power = m.groups()
+            term = text[start:end].strip()
+            at = text.find(term[:1], start) if term else start
+            raise ParseError(
+                f"bad polynomial term {shorten(term)!r}", *_location(text, at)
+            )
+        xmark, power = m.group(2, 3)
         deg = 0 if xmark is None else (1 if power is None else _parse_int(power))
-        terms.append((deg, parse_literal(literal, domain)))
+        terms.append((deg, _parse_span(text, m.start(1), m.end(1), domain)))
     return MatPoly.from_terms(terms)
 
 

@@ -35,7 +35,7 @@ from .errors import (
     ZeroDivisorEntry,
     shorten,
 )
-from .scalars import Domain, Q, Scalar, Z, domain_from_code
+from .scalars import Domain, Q, Scalar, Z, _Value, domain_from_code
 
 
 class Shape(NamedTuple):
@@ -57,7 +57,7 @@ def _shape(value) -> Shape:
     return shape
 
 
-class PartitionType:
+class PartitionType(_Value):
     """Row-cut and column-cut boundary sets for one shape.
 
     A cut at index k separates row/column k-1 from row/column k, so valid
@@ -81,12 +81,6 @@ class PartitionType:
         object.__setattr__(self, "row_cuts", row_cuts)
         object.__setattr__(self, "col_cuts", col_cuts)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PartitionType is immutable")
-
-    def __reduce__(self):
-        return PartitionType, (self.shape, self.row_cuts, self.col_cuts)
-
     def __eq__(self, other):
         return (
             isinstance(other, PartitionType)
@@ -109,7 +103,7 @@ class PartitionType:
         return not self.row_cuts and not self.col_cuts
 
 
-class Matrix:
+class Matrix(_Value):
     """An immutable rows x cols matrix over one exact domain.
 
     `partition` is None for a plain matrix and a PartitionType with at
@@ -129,12 +123,6 @@ class Matrix:
         _set_domain(self, domain)
         _set_values(self, values)
         _set_partition(self, None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Matrix is immutable")
-
-    def __reduce__(self):
-        return Matrix._make, (self.shape, self.domain, self.values, self.partition)
 
     @classmethod
     def _make(cls, shape, domain, values, partition=None):
@@ -503,7 +491,7 @@ def zero_divisor_witness(a: Matrix):
 # -- support masks ---------------------------------------------------------
 
 
-class SupportMask:
+class SupportMask(_Value):
     """A {0,1} pattern of positions of one shape.
 
     Doubles as a trivial idempotent (over Z, Q and the cones these are
@@ -522,9 +510,6 @@ class SupportMask:
             raise ValueError("mask bits must be 0 or 1")
         object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "bits", bits)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SupportMask is immutable")
 
     @classmethod
     def from_int(cls, shape, n):
@@ -643,28 +628,31 @@ def render_matrix(a: Matrix) -> str:
 def parse_literal(text: str, domain: Domain = Q) -> Matrix:
     """Parse a matrix literal, partition marks included.
 
-    Errors carry the line and column of the bad entry, else of its row.
+    Errors carry the line and column of the bad entry, else of its row,
+    else of the literal.
     """
-    stripped = text.strip()
+    return _parse_span(text, 0, len(text), domain)
+
+
+def _location(text, pos):
+    """(line, column) of index `pos` of `text`, both counted from 1."""
+    return text.count("\n", 0, pos) + 1, pos - (text.rfind("\n", 0, pos) + 1) + 1
+
+
+def _parse_span(text, start, end, domain):
+    """Parse the literal text[start:end]; error positions count in all of `text`."""
+    stripped = text[start:end].strip()
     if not stripped:
         raise ParseError("empty literal")
-    offset = text.index(stripped[0])
+    start = text.index(stripped[0], start)
     if not (stripped.startswith("[") and stripped.endswith("]")):
-        raise ParseError("matrix literal must be bracketed", column=offset + 1)
+        raise ParseError("matrix literal must be bracketed", *_location(text, start))
 
-    def location(pos):
-        # pos is an index into the original text
-        line = text.count("\n", 0, pos) + 1
-        col = pos - (text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    body_start = offset + 1
-    body = stripped[1:-1]
     raw_rows = []
-    start = 0
-    for chunk in body.split(";"):
-        raw_rows.append((chunk, body_start + start))
-        start += len(chunk) + 1
+    pos = start + 1
+    for chunk in stripped[1:-1].split(";"):
+        raw_rows.append((chunk, pos))
+        pos += len(chunk) + 1
 
     rows = []
     cut_layouts = []
@@ -674,8 +662,7 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
         tokens = chunk.replace("|", " | ").split()
         if tokens == ["--"]:
             if not rows or pending_cut:
-                line, col = location(pos)
-                raise RaggedCuts("misplaced -- row cut", line, col)
+                raise RaggedCuts("misplaced -- row cut", *_location(text, pos))
             pending_cut = True
             continue
         entries = []
@@ -683,12 +670,10 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
         for tok in tokens:
             if tok == "|":
                 if not entries:
-                    line, col = location(pos)
-                    raise RaggedCuts("column cut before any entry", line, col)
+                    raise RaggedCuts("column cut before any entry", *_location(text, pos))
                 cuts_here.append(len(entries))
             elif tok == "--":
-                line, col = location(pos)
-                raise RaggedCuts("-- must stand alone as a pseudo-row", line, col)
+                raise RaggedCuts("-- must stand alone as a pseudo-row", *_location(text, pos))
             else:
                 try:
                     entries.append(domain.parse(tok))
@@ -696,10 +681,9 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
                     # the same tokens as `tokens`, with where each starts
                     starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
                     at = pos + starts[len(entries) + len(cuts_here)]
-                    raise ParseError(f"bad entry: {exc.reason}", *location(at)) from None
+                    raise ParseError(f"bad entry: {exc.reason}", *_location(text, at)) from None
         if not entries:
-            line, col = location(pos)
-            raise ParseError("empty row", line, col)
+            raise ParseError("empty row", *_location(text, pos))
         if pending_cut:
             row_cuts.append(len(rows))
             pending_cut = False
@@ -707,15 +691,13 @@ def parse_literal(text: str, domain: Domain = Q) -> Matrix:
         cut_layouts.append(cuts_here)
 
     if pending_cut:
-        raise RaggedCuts("trailing -- row cut")
-    if not rows:
-        raise ParseError("empty literal")
+        raise RaggedCuts("trailing -- row cut", *_location(text, start))
     if any(len(r) != len(rows[0]) for r in rows):
-        raise ParseError("ragged rows")
+        raise ParseError("ragged rows", *_location(text, start))
     if any(layout != cut_layouts[0] for layout in cut_layouts):
-        raise RaggedCuts("column cuts differ between rows")
+        raise RaggedCuts("column cuts differ between rows", *_location(text, start))
     if any(c >= len(rows[0]) for c in cut_layouts[0]):
-        raise RaggedCuts("column cut after the last entry")
+        raise RaggedCuts("column cut after the last entry", *_location(text, start))
     return Matrix.from_rows(rows, domain, row_cuts=row_cuts, col_cuts=cut_layouts[0])
 
 

@@ -34,7 +34,33 @@ _KINDS = (INT_KIND, RAT_KIND, MOD_KIND, NONNEG_INT_KIND, NONNEG_RAT_KIND)
 _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
-class Domain:
+class _Value:
+    """Base of the value classes: fields are set once, in `__init__` through
+    `object.__setattr__`, and never changed or deleted.  Copies and pickles
+    rebuild a value field by field from its class's `__slots__`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        cls = type(self)
+        return _rebuild, (cls, tuple(getattr(self, name) for name in cls.__slots__))
+
+
+def _rebuild(cls, fields):
+    """The `cls` value whose slots hold `fields` (the inverse of `__reduce__`)."""
+    self = object.__new__(cls)
+    for name, value in zip(cls.__slots__, fields):
+        object.__setattr__(self, name, value)
+    return self
+
+
+class Domain(_Value):
     """A coefficient domain tag plus its raw arithmetic.
 
     Raw values are plain ints (Z, Z_n, Z+) or Fractions (Q, Q+); the
@@ -54,12 +80,6 @@ class Domain:
         object.__setattr__(self, "modulus", modulus)
         # ints only: hashes of str and None differ from process to process
         object.__setattr__(self, "_hash", hash((_KINDS.index(kind), modulus or 0)))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Domain is immutable")
-
-    def __reduce__(self):
-        return Domain, (self.kind, self.modulus)
 
     def __eq__(self, other):
         return (
@@ -259,7 +279,7 @@ def domain_from_code(code):
     raise ParseError(f"unknown domain {shorten(code)!r}")
 
 
-class Scalar:
+class Scalar(_Value):
     """One exact value tagged with its domain."""
 
     __slots__ = ("domain", "value")
@@ -267,15 +287,6 @@ class Scalar:
     def __init__(self, domain: Domain, value):
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "value", domain.coerce(value))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Scalar is immutable")
-
-    def __delattr__(self, name):
-        raise AttributeError("Scalar is immutable")
-
-    def __reduce__(self):
-        return Scalar, (self.domain, self.value)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -323,10 +334,6 @@ class Scalar:
 
     def __repr__(self):
         return f"Scalar({self.domain.code}, {self})"
-
-
-def scalar(domain, value):
-    return Scalar(domain, value)
 
 
 def dom_add(a: Scalar, b: Scalar) -> Scalar:

@@ -32,7 +32,7 @@ from .matrix import (
     support,
     zeros,
 )
-from .scalars import Domain, Z_PLUS
+from .scalars import Domain, Z_PLUS, _Value
 
 NATURAL_PRODUCT = "nproduct"
 ADDITION = "add"
@@ -42,7 +42,7 @@ ASSOC_EXHAUSTIVE_LIMIT = 64
 ANALYZE_MAX_ELEMENTS = 1024
 
 
-class Carrier:
+class Carrier(_Value):
     """A finite family of same-shape, same-domain matrices plus one operation."""
 
     __slots__ = ("kind", "shape", "domain", "members", "op")
@@ -55,9 +55,6 @@ class Carrier:
         object.__setattr__(self, "domain", domain)
         object.__setattr__(self, "members", members)
         object.__setattr__(self, "op", op)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Carrier is immutable")
 
     @classmethod
     def masks(cls, shape, domain: Domain = Z_PLUS, op=NATURAL_PRODUCT):
@@ -287,19 +284,13 @@ class _Table:
         return None
 
 
-def analyze(
-    carrier: Carrier,
-    *,
-    seed=0,
-    samples=400,
-    max_elements=ANALYZE_MAX_ELEMENTS,
-) -> StructureReport:
+def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
     """Full structural census of a finite carrier.
 
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
     """
-    table = _Table(carrier.elements(max_elements), carrier.apply)
+    table = _Table(carrier.elements(ANALYZE_MAX_ELEMENTS), carrier.apply)
     mul, n, members = table.mul, table.n, table.members
     idx = range(n)
 
@@ -353,9 +344,9 @@ def analyze(
     )
 
 
-def idempotents_in(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
+def idempotents_in(carrier: Carrier):
     """All e with e ∘ e = e, in canonical order."""
-    table = _Table(carrier.elements(max_elements), carrier.apply)
+    table = _Table(carrier.elements(), carrier.apply)
     return table.members(table.idempotents())
 
 
@@ -365,7 +356,7 @@ class GeneratedIdeal:
     cardinality: int
 
 
-def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMENTS):
+def ideal_generated(carrier: Carrier, x: Matrix):
     """Smallest ideal of the carrier semigroup containing x.
 
     The carrier must be a semigroup under the natural product; for mask
@@ -375,7 +366,7 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
     """
     if carrier.op != NATURAL_PRODUCT:
         raise UnsupportedDomain("ideals are computed under the natural product")
-    table = _Table(carrier.elements(max_elements), carrier.apply)
+    table = _Table(carrier.elements(), carrier.apply)
     elements, n = table.elements, table.n
     g = table.index.get(x)
     if g is None:
@@ -396,14 +387,14 @@ def ideal_generated(carrier: Carrier, x: Matrix, max_elements=DEFAULT_MAX_ELEMEN
     return GeneratedIdeal(members, len(members))
 
 
-def is_smarandache(carrier: Carrier, max_elements=DEFAULT_MAX_ELEMENTS):
+def is_smarandache(carrier: Carrier):
     """A proper subset forming a group of order >= 2, or None.
 
     Searches the maximal subgroup at each idempotent, full-support
     idempotents first (the largest subgroup sits at the identity when
     there is one); singleton groups never certify.
     """
-    table = _Table(carrier.elements(max_elements), carrier.apply)
+    table = _Table(carrier.elements(), carrier.apply)
     return table.members(table.smarandache(table.h_classes(table.idempotents())))
 
 
@@ -422,9 +413,9 @@ def is_subsemigroup(carrier: Carrier, subset):
     return _Table(_members(carrier, subset), carrier.apply).closure_witness() is None
 
 
-def is_ideal(carrier: Carrier, subset, max_elements=DEFAULT_MAX_ELEMENTS):
+def is_ideal(carrier: Carrier, subset):
     """Does the subset of carrier members absorb multiplication by every member?"""
-    table = _Table(carrier.elements(max_elements), carrier.apply)
+    table = _Table(carrier.elements(), carrier.apply)
     inside = {table.index[m] for m in _members(carrier, subset)}
     return all(table.product(a, s) in inside for a in inside for s in range(table.n))
 

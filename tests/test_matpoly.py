@@ -1,5 +1,3 @@
-import copy
-import pickle
 import random
 from fractions import Fraction
 
@@ -203,19 +201,6 @@ def test_solve_binomial_roots_satisfy_equation(rng):
         for root in roots:
             assert poly_evaluate_natural(p, root).is_zero()
         assert any(root == r for root in roots)
-
-
-@pytest.mark.parametrize(
-    "copy_of",
-    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
-    ids=["copy", "deepcopy", "pickle"],
-)
-def test_root_sets_copy_and_pickle(copy_of):
-    roots = solve_binomial(Matrix.from_rows([[1, 1]], Q), Matrix.from_rows([[4, 9]], Q), 2)
-    assert len(roots) == 2
-    for value in (roots, solve_binomial(row([1]), row([2]), 2)):
-        assert copy_of(value) == value
-        assert copy_of(value).componentwise_signs == value.componentwise_signs
 
 
 def test_solve_quadratic_contracts():

@@ -1,12 +1,33 @@
-"""The package's lazy exports and what a `natprod` child loads."""
+"""The package's lazy exports, what a `natprod` child loads, and the
+value semantics every exported value shares."""
 
+import copy
+import dataclasses
 import importlib
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
 import natprod
+from natprod import (
+    Q,
+    Q_PLUS,
+    Z,
+    Carrier,
+    MatPoly,
+    Mod,
+    Scalar,
+    StructureReport,
+    analyze,
+    orthogonal_space,
+    parse_literal,
+    parse_poly,
+    solve_binomial,
+    support,
+)
 
 LAYERS = ("errors", "matpoly", "matrix", "scalars", "structures", "supermatrix")
 
@@ -80,3 +101,67 @@ def test_a_verb_loads_only_its_layers(argv, used):
     loaded = _loaded(*argv)
     assert {"natprod.cli", "natprod.matrix"} <= loaded
     assert loaded & _ALL == used
+
+
+_CUT = parse_literal("[1 0 | 3;--;4 5 | 0]", Q)
+_VALUES = {
+    "Domain-Q+": Q_PLUS,
+    "Domain-Zn6": Mod(6),
+    "Scalar-Q": Scalar(Q, Fraction(-1, 3)),
+    "Scalar-Zn6": Scalar(Mod(6), 7),
+    "PartitionType": _CUT.partition,
+    "Matrix": _CUT.base,
+    "Matrix-partitioned": _CUT,
+    "SupportMask": support(_CUT),
+    "MatPoly": parse_poly("[1 2] + [3 4] * x^2", Z),
+    "MatPoly-partitioned": MatPoly.constant(_CUT) + MatPoly.from_terms([(3, _CUT)]),
+    "RootSet-pair": solve_binomial(parse_literal("[1 1]"), parse_literal("[4 9]"), 2),
+    "RootSet-none": solve_binomial(parse_literal("[1]"), parse_literal("[2]"), 2),
+    "Carrier-masks": Carrier.masks((1, 2)),
+    "Carrier-all": Carrier.all_matrices((1, 2), Mod(3)),
+    "Carrier-explicit": Carrier.explicit([parse_literal("[1 0]", Z), parse_literal("[0 0]", Z)]),
+    "StructureReport": analyze(Carrier.masks((1, 2))),
+    "MaskSubspace": orthogonal_space(_CUT.base),
+}
+_COPIES = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+def _state(value):
+    """What a copy must keep: the value itself, or the fields of a Carrier,
+    which compares by identity, also inside a StructureReport."""
+    if isinstance(value, Carrier):
+        return tuple(getattr(value, name) for name in Carrier.__slots__)
+    if isinstance(value, StructureReport):
+        return _state(value.carrier), dataclasses.replace(value, carrier=None)
+    return value
+
+
+@pytest.mark.parametrize("name", _VALUES)
+@pytest.mark.parametrize("how", _COPIES)
+def test_values_copy_and_pickle(how, name):
+    value = _VALUES[name]
+    twin = _COPIES[how](value)
+    assert type(twin) is type(value)
+    assert _state(twin) == _state(value)
+    assert hash(_state(twin)) == hash(_state(value))
+
+
+@pytest.mark.parametrize("name", _VALUES)
+def test_values_refuse_changes(name):
+    value = _VALUES[name]
+    before = _state(value)
+    if dataclasses.is_dataclass(value):
+        field, message = dataclasses.fields(value)[0].name, "cannot"
+    else:
+        field, message = type(value).__slots__[0], f"{type(value).__name__} is immutable"
+    with pytest.raises(AttributeError, match=message):
+        setattr(value, field, None)
+    with pytest.raises(AttributeError, match=message):
+        delattr(value, field)
+    with pytest.raises(AttributeError, match=message):
+        value.no_such_field = None
+    assert _state(value) == before

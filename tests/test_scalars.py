@@ -1,6 +1,4 @@
-import copy
 import os
-import pickle
 import random
 import subprocess
 import sys
@@ -185,16 +183,6 @@ def test_scalar_parse_errors():
         Q.parse("1/0")
     assert Mod(12).parse("-1") == 11
     assert Q.parse("-3/6") == Fraction(-1, 2)
-
-
-@pytest.mark.parametrize(
-    "copy_of",
-    [copy.copy, copy.deepcopy, lambda value: pickle.loads(pickle.dumps(value))],
-    ids=["copy", "deepcopy", "pickle"],
-)
-def test_scalars_and_domains_copy_and_pickle(copy_of):
-    for value in (Scalar(Q, Fraction(-1, 3)), Scalar(Mod(6), 7), Q_PLUS, Mod(6)):
-        assert copy_of(value) == value
 
 
 def test_hashes_do_not_depend_on_the_hash_seed():

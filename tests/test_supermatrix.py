@@ -18,6 +18,7 @@ from natprod import (
     Z,
     Z_PLUS,
     parse_literal,
+    parse_poly,
     parse_super,
     render_super,
     same_type,
@@ -28,6 +29,7 @@ from natprod import (
     super_ones,
     super_to_json,
 )
+from natprod.cli import run_command
 from natprod.verify import rand_matrix, rand_partition, rand_shape
 
 
@@ -110,7 +112,7 @@ def test_parse_ragged_cuts():
         parse_super("[1 2 ; -- ; -- ; 3 4]", Q)
 
 
-def test_parse_errors_have_positions():
+def test_parse_errors_have_positions(tmp_path):
     with pytest.raises(ParseError) as info:
         parse_super("[1 2 ; 3 oops]", Q)
     assert info.value.line == 1
@@ -129,6 +131,33 @@ def test_parse_errors_have_positions():
     with pytest.raises(ParseError) as info:
         parse_literal("[1 2;\n 3 y]", Z)
     assert (info.value.line, info.value.column) == (2, 4)
+    # positions count in the whole input, not in the term or line parsed
+    for parse, text, position in (
+        (parse_literal, "\n\n[1 2;\n 3 q]", (4, 4)),
+        (parse_literal, "  [1 2;3 y]", (1, 10)),
+        (parse_literal, " [1 2;3]", (1, 2)),
+        (parse_poly, "[1 2] + [3 y]", (1, 12)),
+        (parse_poly, "[1 2]\n + [3 4] * y", (2, 4)),
+        (parse_poly, "[1 2] +", (1, 8)),
+    ):
+        with pytest.raises(ParseError) as info:
+            parse(text, Z)
+        assert (info.value.line, info.value.column) == position, text
+    # the CLI reports them in what the user typed or the file holds
+    carrier = tmp_path / "carrier.txt"
+    carrier.write_text("\n[1 2]\n[1 q]\n")
+    matrix = tmp_path / "matrix.txt"
+    matrix.write_text("\n\n[1 2;\n 3 q]\n")
+    for argv, position in (
+        (["analyze", "idempotents", str(carrier)], "line 3, column 4"),
+        (["eval", "parse-render", str(matrix)], "line 4, column 4"),
+        (["eval", "parse-render", "  [1 2;3 y]"], "line 1, column 10"),
+        (["poly", "degree", "[1 2] + [3 y]"], "line 1, column 12"),
+        (["poly", "degree", "[1 2] + [3 4] * y"], "line 1, column 9"),
+    ):
+        report = run_command(argv)
+        assert (report.exit_code, report.payload) == (2, "")
+        assert f"({position})" in report.diagnostics, argv
 
 
 def test_render_round_trip_with_fractions():
