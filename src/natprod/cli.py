@@ -34,7 +34,6 @@ from .errors import (
     NoRationalRoot,
     ParseError,
     TooLarge,
-    TypeMismatch,
     shorten,
 )
 from .matrix import (
@@ -180,12 +179,8 @@ def _cmd_eval(args):
     if args.subverb == "nprod":
         return RunReport(0, _emit_matrix(a * b, fmt))
     if args.subverb == "uprod":
-        if a.partition is not None or b.partition is not None:
-            raise ParseError("the usual product is undefined on partitioned matrices")
         return RunReport(0, _emit_matrix(a @ b, fmt))
     if args.subverb == "orth":
-        if a.partition != b.partition:
-            raise TypeMismatch("operands carry different partitions")
         flag = is_orthogonal(a, b)
         payload = _emit(fmt, flag, lambda f: {"orthogonal": f}, lambda f: str(f).lower())
         return RunReport(0 if flag else 1, payload)

@@ -93,10 +93,7 @@ class MatPoly(_Value):
                 coeff = coeff.base
             if not coeff.is_zero():
                 cleaned[deg] = coeff
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "ptype", ptype)
-        object.__setattr__(self, "_terms", dict(cleaned))
+        self._fill(shape, domain, ptype, cleaned)
 
     @classmethod
     def from_terms(cls, terms):
@@ -385,20 +382,7 @@ class RootSet(_Value):
     __slots__ = ("roots", "componentwise_signs", "reason")
 
     def __init__(self, roots=(), componentwise_signs=False, reason=None):
-        object.__setattr__(self, "roots", roots)
-        object.__setattr__(self, "componentwise_signs", componentwise_signs)
-        object.__setattr__(self, "reason", reason)
-
-    def _fields(self):
-        return (self.roots, self.componentwise_signs, self.reason)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
+        self._fill(roots, componentwise_signs, reason)
 
     def __repr__(self):
         fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__)

@@ -77,20 +77,12 @@ class PartitionType(_Value):
         for c in col_cuts:
             if not 1 <= c <= shape.cols - 1:
                 raise ValueError(f"column cut {c} outside (0, {shape.cols})")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "row_cuts", row_cuts)
-        object.__setattr__(self, "col_cuts", col_cuts)
+        self._fill(shape, row_cuts, col_cuts)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, PartitionType)
-            and self.shape == other.shape
-            and self.row_cuts == other.row_cuts
-            and self.col_cuts == other.col_cuts
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.row_cuts, self.col_cuts))
+    # bound here, not inherited: bench/tracing.py wraps __eq__ found in this
+    # class's own __dict__
+    __eq__ = _Value.__eq__
+    __hash__ = _Value.__hash__
 
     def __repr__(self):
         return (
@@ -119,10 +111,7 @@ class Matrix(_Value):
             raise ValueError(
                 f"{shape} needs {shape.size} entries, got {len(values)}"
             )
-        _set_shape(self, shape)
-        _set_domain(self, domain)
-        _set_values(self, values)
-        _set_partition(self, None)
+        self._fill(shape, domain, values, None)
 
     @classmethod
     def _make(cls, shape, domain, values, partition=None):
@@ -508,8 +497,7 @@ class SupportMask(_Value):
             raise ValueError(f"{shape} needs {shape.size} bits")
         if any(b not in (0, 1) for b in bits):
             raise ValueError("mask bits must be 0 or 1")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "bits", bits)
+        self._fill(shape, bits)
 
     @classmethod
     def from_int(cls, shape, n):
@@ -522,16 +510,6 @@ class SupportMask(_Value):
         for b in self.bits:
             n = (n << 1) | b
         return n
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, SupportMask)
-            and self.shape == other.shape
-            and self.bits == other.bits
-        )
-
-    def __hash__(self):
-        return hash((self.shape, self.bits))
 
     def __le__(self, other):
         """Containment of supports."""
@@ -580,7 +558,9 @@ class SupportMask(_Value):
         return render_matrix(self.to_matrix(Z))
 
 
-DEFAULT_ENUM_BITS = 24
+# The most elements `trivial_idempotents`, and by default `Carrier.elements`
+# in `structures`, enumerate.
+DEFAULT_MAX_ELEMENTS = 4096
 
 
 def trivial_idempotent_count(shape) -> int:
@@ -588,12 +568,14 @@ def trivial_idempotent_count(shape) -> int:
     return 1 << _shape(shape).size
 
 
-def trivial_idempotents(shape, bound=DEFAULT_ENUM_BITS):
+def trivial_idempotents(shape):
     """All {0,1} masks of the shape in row-major lexicographic order."""
     shape = _shape(shape)
-    if shape.size > bound:
+    # 2^size > DEFAULT_MAX_ELEMENTS, decided without computing the power
+    if shape.size >= DEFAULT_MAX_ELEMENTS.bit_length():
         raise TooLarge(
-            f"{shape} has 2^{shape.size} trivial idempotents; bound is 2^{bound}"
+            f"{shape} has 2^{shape.size} trivial idempotents; "
+            f"bound is {DEFAULT_MAX_ELEMENTS}"
         )
     return [SupportMask.from_int(shape, n) for n in range(1 << shape.size)]
 

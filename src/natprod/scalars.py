@@ -35,11 +35,27 @@ _SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 
 
 class _Value:
-    """Base of the value classes: fields are set once, in `__init__` through
-    `object.__setattr__`, and never changed or deleted.  Copies and pickles
-    rebuild a value field by field from its class's `__slots__`."""
+    """Base of the value classes: a value's fields are its class's
+    `__slots__`, in order, set once by `_fill` and never changed or
+    deleted.  Two values are equal when they are of one class and their
+    fields are equal; copies and pickles rebuild a value from its fields."""
 
     __slots__ = ()
+
+    def _fill(self, *fields):
+        for name, value in zip(self.__slots__, fields):
+            object.__setattr__(self, name, value)
+
+    def _fields(self):
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -48,74 +64,77 @@ class _Value:
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     def __reduce__(self):
-        cls = type(self)
-        return _rebuild, (cls, tuple(getattr(self, name) for name in cls.__slots__))
+        return _rebuild, (type(self), self._fields())
 
 
 def _rebuild(cls, fields):
     """The `cls` value whose slots hold `fields` (the inverse of `__reduce__`)."""
     self = object.__new__(cls)
-    for name, value in zip(cls.__slots__, fields):
-        object.__setattr__(self, name, value)
+    self._fill(*fields)
     return self
+
+
+# kind -> code of every kind but MOD_KIND, whose code names its modulus
+_CODES = {INT_KIND: "Z", RAT_KIND: "Q", NONNEG_INT_KIND: "Z+", NONNEG_RAT_KIND: "Q+"}
+
+# (kind, modulus) -> the one Domain of that kind and modulus
+_DOMAINS: dict[tuple, Domain] = {}
 
 
 class Domain(_Value):
     """A coefficient domain tag plus its raw arithmetic.
 
+    There is one Domain object per domain: `Domain(kind, modulus)`, `Mod`,
+    `domain_from_code`, copies and pickles all return it, so `==` is `is`.
     Raw values are plain ints (Z, Z_n, Z+) or Fractions (Q, Q+); the
     arithmetic methods keep them canonical (residues reduced, fractions in
     lowest terms with positive denominator, cone values >= 0).
     """
 
-    __slots__ = ("kind", "modulus", "_hash")
+    __slots__ = (
+        "kind", "modulus", "code", "is_cone", "is_modular", "is_rational", "zero", "one", "_hash"
+    )
 
-    def __init__(self, kind, modulus=None):
-        if kind == MOD_KIND:
+    def __new__(cls, kind, modulus=None):
+        self = _DOMAINS.get((kind, modulus))
+        if self is not None:
+            return self
+        if kind not in _KINDS:
+            raise ValueError(f"unknown domain kind {kind!r}")
+        modular = kind == MOD_KIND
+        if modular:
             if modulus is None or modulus < 2:
                 raise ValueError("modulus must be an integer >= 2")
         elif modulus is not None:
             raise ValueError("only modular domains carry a modulus")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "modulus", modulus)
-        # ints only: hashes of str and None differ from process to process
-        object.__setattr__(self, "_hash", hash((_KINDS.index(kind), modulus or 0)))
+        rational = kind in (RAT_KIND, NONNEG_RAT_KIND)
+        self = object.__new__(cls)
+        self._fill(
+            kind,
+            modulus,
+            f"Zn:{modulus}" if modular else _CODES[kind],  # also the CLI --domain flag
+            kind in (NONNEG_INT_KIND, NONNEG_RAT_KIND),
+            modular,
+            rational,
+            Fraction(0) if rational else 0,
+            Fraction(1) if rational else 1,
+            # ints only: hashes of str and None differ from process to process
+            hash((_KINDS.index(kind), modulus or 0)),
+        )
+        # a thread that lost a race to build the same domain takes the winner's
+        return _DOMAINS.setdefault((kind, modulus), self)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Domain)
-            and self.kind == other.kind
-            and self.modulus == other.modulus
-        )
+        return self is other
 
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        return domain_from_code, (self.code,)
+
     def __repr__(self):
         return f"Domain({self.code!r})"
-
-    @property
-    def code(self):
-        """Canonical textual name, also used by the CLI --domain flag."""
-        return {
-            INT_KIND: "Z",
-            RAT_KIND: "Q",
-            NONNEG_INT_KIND: "Z+",
-            NONNEG_RAT_KIND: "Q+",
-            MOD_KIND: f"Zn:{self.modulus}",
-        }[self.kind]
-
-    @property
-    def is_cone(self):
-        return self.kind in (NONNEG_INT_KIND, NONNEG_RAT_KIND)
-
-    @property
-    def is_modular(self):
-        return self.kind == MOD_KIND
-
-    @property
-    def is_rational(self):
-        return self.kind in (RAT_KIND, NONNEG_RAT_KIND)
 
     # -- raw value arithmetic -------------------------------------------
 
@@ -153,14 +172,6 @@ class Domain(_Value):
         if self.kind == NONNEG_INT_KIND and value < 0:
             raise ConeViolation(f"{value} is negative in {self.code}")
         return value
-
-    @property
-    def zero(self):
-        return Fraction(0) if self.is_rational else 0
-
-    @property
-    def one(self):
-        return Fraction(1) if self.is_rational else 1
 
     def add(self, a, b):
         if self.kind == MOD_KIND:
@@ -254,22 +265,17 @@ Q = Domain(RAT_KIND)
 Z_PLUS = Domain(NONNEG_INT_KIND)
 Q_PLUS = Domain(NONNEG_RAT_KIND)
 
-_mod_cache: dict[int, Domain] = {}
-
-
 def Mod(n):
     """The ring of integers modulo n (n >= 2)."""
-    if n not in _mod_cache:
-        _mod_cache[n] = Domain(MOD_KIND, n)
-    return _mod_cache[n]
+    return Domain(MOD_KIND, n)
 
 
 def domain_from_code(code):
     """Inverse of Domain.code; accepts Z, Q, Z+, Q+, Zn:<n>."""
     code = code.strip()
-    table = {"Z": Z, "Q": Q, "Z+": Z_PLUS, "Q+": Q_PLUS}
-    if code in table:
-        return table[code]
+    for kind, known in _CODES.items():
+        if code == known:
+            return Domain(kind)
     m = re.match(r"^Zn?:(\d+)$", code)
     if m:
         n = _parse_int(m.group(1))
@@ -285,16 +291,7 @@ class Scalar(_Value):
     __slots__ = ("domain", "value")
 
     def __init__(self, domain: Domain, value):
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "value", domain.coerce(value))
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.domain, self.value) == (other.domain, other.value)
-
-    def __hash__(self):
-        return hash((self.domain, self.value))
+        self._fill(domain, domain.coerce(value))
 
     def _peer(self, other):
         if not isinstance(other, Scalar):

@@ -24,6 +24,7 @@ from fractions import Fraction
 
 from .errors import NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
 from .matrix import (
+    DEFAULT_MAX_ELEMENTS,
     Matrix,
     Shape,
     SupportMask,
@@ -37,7 +38,6 @@ from .scalars import Domain, Z_PLUS, _Value
 NATURAL_PRODUCT = "nproduct"
 ADDITION = "add"
 
-DEFAULT_MAX_ELEMENTS = 4096
 ASSOC_EXHAUSTIVE_LIMIT = 64
 ANALYZE_MAX_ELEMENTS = 1024
 
@@ -50,11 +50,7 @@ class Carrier(_Value):
     def __init__(self, kind, shape, domain, members, op):
         if op not in (NATURAL_PRODUCT, ADDITION):
             raise ValueError(f"unknown operation {op!r}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "members", members)
-        object.__setattr__(self, "op", op)
+        self._fill(kind, shape, domain, members, op)
 
     @classmethod
     def masks(cls, shape, domain: Domain = Z_PLUS, op=NATURAL_PRODUCT):
@@ -114,7 +110,11 @@ class Carrier(_Value):
         return tuple(sorted(self.members, key=lambda m: m.values))
 
     def __contains__(self, m):
-        """Membership without enumerating the carrier."""
+        """Membership without enumerating the carrier.  An enumerated
+        carrier holds no partitioned matrix; an explicit one holds its
+        members, partitioned or not."""
+        if self.kind == "explicit":
+            return m in self.members
         if not (
             isinstance(m, Matrix)
             and m.shape == self.shape
@@ -124,7 +124,7 @@ class Carrier(_Value):
             return False
         if self.kind == "masks":
             return all(v == self.domain.zero or v == self.domain.one for v in m.values)
-        return self.kind == "all" or m in self.members
+        return True
 
     def apply(self, a: Matrix, b: Matrix) -> Matrix:
         return a * b if self.op == NATURAL_PRODUCT else a + b

@@ -39,6 +39,7 @@ from natprod import (
     zero_divisor_witness,
     zeros,
 )
+from natprod.matrix import DEFAULT_MAX_ELEMENTS
 from natprod.verify import rand_matrix, rand_shape
 
 
@@ -93,6 +94,10 @@ def test_trivial_idempotents_small():
     with pytest.raises(TooLarge):
         trivial_idempotents(Shape(5, 5))
     assert trivial_idempotent_count(Shape(5, 5)) == 2**25
+    # the enumeration bound: 2^12 masks are built, 2^13 are refused
+    assert len(trivial_idempotents(Shape(3, 4))) == DEFAULT_MAX_ELEMENTS == 4096
+    with pytest.raises(TooLarge, match="bound is 4096"):
+        trivial_idempotents(Shape(1, 13))
 
 
 def test_trivial_idempotents_lexicographic():

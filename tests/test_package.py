@@ -4,6 +4,7 @@ value semantics every exported value shares."""
 import copy
 import dataclasses
 import importlib
+import itertools
 import pickle
 import subprocess
 import sys
@@ -17,11 +18,12 @@ from natprod import (
     Q_PLUS,
     Z,
     Carrier,
+    Domain,
     MatPoly,
     Mod,
     Scalar,
-    StructureReport,
     analyze,
+    domain_from_code,
     orthogonal_space,
     parse_literal,
     parse_poly,
@@ -103,41 +105,36 @@ def test_a_verb_loads_only_its_layers(argv, used):
     assert loaded & _ALL == used
 
 
-_CUT = parse_literal("[1 0 | 3;--;4 5 | 0]", Q)
-_VALUES = {
-    "Domain-Q+": Q_PLUS,
-    "Domain-Zn6": Mod(6),
-    "Scalar-Q": Scalar(Q, Fraction(-1, 3)),
-    "Scalar-Zn6": Scalar(Mod(6), 7),
-    "PartitionType": _CUT.partition,
-    "Matrix": _CUT.base,
-    "Matrix-partitioned": _CUT,
-    "SupportMask": support(_CUT),
-    "MatPoly": parse_poly("[1 2] + [3 4] * x^2", Z),
-    "MatPoly-partitioned": MatPoly.constant(_CUT) + MatPoly.from_terms([(3, _CUT)]),
-    "RootSet-pair": solve_binomial(parse_literal("[1 1]"), parse_literal("[4 9]"), 2),
-    "RootSet-none": solve_binomial(parse_literal("[1]"), parse_literal("[2]"), 2),
-    "Carrier-masks": Carrier.masks((1, 2)),
-    "Carrier-all": Carrier.all_matrices((1, 2), Mod(3)),
-    "Carrier-explicit": Carrier.explicit([parse_literal("[1 0]", Z), parse_literal("[0 0]", Z)]),
-    "StructureReport": analyze(Carrier.masks((1, 2))),
-    "MaskSubspace": orthogonal_space(_CUT.base),
-}
+def _build():
+    """One value of each class, every one built afresh on each call."""
+    cut = parse_literal("[1 0 | 3;--;4 5 | 0]", Q)
+    return {
+        "Domain-Q+": Q_PLUS,
+        "Domain-Zn6": Mod(6),
+        "Scalar-Q": Scalar(Q, Fraction(-1, 3)),
+        "Scalar-Zn6": Scalar(Mod(6), 7),
+        "PartitionType": cut.partition,
+        "Matrix": cut.base,
+        "Matrix-partitioned": cut,
+        "SupportMask": support(cut),
+        "MatPoly": parse_poly("[1 2] + [3 4] * x^2", Z),
+        "MatPoly-partitioned": MatPoly.constant(cut) + MatPoly.from_terms([(3, cut)]),
+        "RootSet-pair": solve_binomial(parse_literal("[1 1]"), parse_literal("[4 9]"), 2),
+        "RootSet-none": solve_binomial(parse_literal("[1]"), parse_literal("[2]"), 2),
+        "Carrier-masks": Carrier.masks((1, 2)),
+        "Carrier-all": Carrier.all_matrices((1, 2), Mod(3)),
+        "Carrier-explicit": Carrier.explicit([parse_literal("[1 0]", Z), parse_literal("[0 0]", Z)]),
+        "StructureReport": analyze(Carrier.masks((1, 2))),
+        "MaskSubspace": orthogonal_space(cut.base),
+    }
+
+
+_VALUES = _build()
 _COPIES = {
     "copy": copy.copy,
     "deepcopy": copy.deepcopy,
     "pickle": lambda value: pickle.loads(pickle.dumps(value)),
 }
-
-
-def _state(value):
-    """What a copy must keep: the value itself, or the fields of a Carrier,
-    which compares by identity, also inside a StructureReport."""
-    if isinstance(value, Carrier):
-        return tuple(getattr(value, name) for name in Carrier.__slots__)
-    if isinstance(value, StructureReport):
-        return _state(value.carrier), dataclasses.replace(value, carrier=None)
-    return value
 
 
 @pytest.mark.parametrize("name", _VALUES)
@@ -146,14 +143,36 @@ def test_values_copy_and_pickle(how, name):
     value = _VALUES[name]
     twin = _COPIES[how](value)
     assert type(twin) is type(value)
-    assert _state(twin) == _state(value)
-    assert hash(_state(twin)) == hash(_state(value))
+    assert twin == value
+    assert hash(twin) == hash(value)
+
+
+@pytest.mark.parametrize("how", _COPIES)
+def test_each_domain_is_one_object(how):
+    assert Domain("int") is Z
+    assert Mod(7) is domain_from_code("Zn:7") is Domain("mod", 7)
+    for domain in (Z, Q, Q_PLUS, Mod(6)):
+        assert _COPIES[how](domain) is domain
+    with pytest.raises(ValueError, match="unknown domain kind"):
+        Domain("real")
+
+
+def test_values_of_different_classes_never_compare_equal():
+    for (name, value), (other_name, other) in itertools.product(_VALUES.items(), repeat=2):
+        if type(value) is not type(other):
+            assert value != other, (name, other_name)
+
+
+def test_values_built_twice_are_equal_and_hash_equal():
+    for name, again in _build().items():
+        value = _VALUES[name]
+        assert again == value and hash(again) == hash(value), name
 
 
 @pytest.mark.parametrize("name", _VALUES)
 def test_values_refuse_changes(name):
     value = _VALUES[name]
-    before = _state(value)
+    before = copy.deepcopy(value)
     if dataclasses.is_dataclass(value):
         field, message = dataclasses.fields(value)[0].name, "cannot"
     else:
@@ -164,4 +183,4 @@ def test_values_refuse_changes(name):
         delattr(value, field)
     with pytest.raises(AttributeError, match=message):
         value.no_such_field = None
-    assert _state(value) == before
+    assert value == before

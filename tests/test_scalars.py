@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 from fractions import Fraction
 from math import gcd
 
@@ -201,3 +202,28 @@ def test_hashes_do_not_depend_on_the_hash_seed():
         for seed in ("1", "2")
     }
     assert len(outputs) == 1
+
+
+def test_racing_threads_share_one_domain():
+    # moduli no other test builds, so every thread races to create each one
+    moduli = range(10**9, 10**9 + 2000)
+    built = [[] for _ in range(8)]
+    start = threading.Barrier(len(built))
+
+    def build(out):
+        start.wait()
+        out.extend(map(Mod, moduli))
+
+    threads = [threading.Thread(target=build, args=(out,)) for out in built]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=30)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for n, domains in zip(moduli, zip(*built)):
+        assert all(d is Mod(n) for d in domains)

@@ -35,6 +35,7 @@ from natprod import (
     is_subsemigroup,
     ones,
     orthogonal_space,
+    parse_literal,
     render_matrix,
     subspace_complement,
     support,
@@ -523,6 +524,20 @@ def test_subset_questions_refuse_a_non_member(question):
     ):
         with pytest.raises(NotMember, match=re.escape(f"{outsider} is not a carrier member")):
             question(carrier, subset)
+
+
+def test_explicit_carriers_hold_their_partitioned_members():
+    a, b, z = (parse_literal(text, Z) for text in ("[1 | 0]", "[0 | 1]", "[0 | 0]"))
+    carrier = Carrier.explicit([a, b, z])
+    assert a in carrier and z in carrier
+    assert a.base not in carrier  # equal entries, but no partition
+    assert is_subsemigroup(carrier, [a]) and is_subsemigroup(carrier, [a, b, z])
+    assert is_ideal(carrier, [z]) and not is_ideal(carrier, [a])
+    with pytest.raises(NotMember, match=re.escape("[1 0] is not a carrier member")):
+        is_subsemigroup(carrier, [a.base])
+    # an enumerated carrier still holds no partitioned matrix
+    assert parse_literal("[1 | 0]", Z_PLUS) not in Carrier.masks((1, 2))
+    assert parse_literal("[1 | 0]", Mod(2)) not in Carrier.all_matrices((1, 2), Mod(2))
 
 
 def test_is_subsemigroup_answers_past_the_enumeration_bound():
