@@ -151,7 +151,8 @@ class MatPoly(_Value):
         )
 
     def __hash__(self):
-        return hash((self.shape, self.domain, self.ptype, tuple(sorted(self._terms.items()))))
+        ptype = 0 if self.ptype is None else self.ptype  # as in _Value.__hash__
+        return hash((self.shape, self.domain, ptype, tuple(sorted(self._terms.items()))))
 
     def __repr__(self):
         return f"MatPoly({render_poly(self)!r})"

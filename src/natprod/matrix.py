@@ -252,9 +252,9 @@ class Matrix(_Value):
 
     def __matmul__(self, other):
         """Usual matrix product; undefined on partitioned matrices."""
-        self._check_peer(other, same_shape=False)
         if self.partition is not None:
             raise TypeMismatch("the usual product is undefined on partitioned matrices")
+        self._check_peer(other, same_shape=False)
         if self.shape.cols != other.shape.rows:
             raise ShapeMismatch(
                 f"cannot multiply {self.shape} by {other.shape}"

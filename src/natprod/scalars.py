@@ -55,7 +55,9 @@ class _Value:
         return self._fields() == other._fields()
 
     def __hash__(self):
-        return hash(self._fields())
+        # hash(None) is an address before Python 3.12: 0 stands in for it,
+        # so a value hashes the same in every process
+        return hash(tuple(0 if f is None else f for f in self._fields()))
 
     def __setattr__(self, name, value):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -7,8 +7,11 @@ idempotents, zero divisors, maximal subgroups at idempotents, and a
 Smarandache witness (a proper subset forming a group of size >= 2).
 
 Every finite-structure question reads its products from one private
-product table, `_Table`, where a product that leaves the family is an
-index past its end.
+dense product table, `_Table`: `rows[a][b]` is the index of a·b, and a
+product that leaves the family is an index past its end.  Both
+operations act entrywise, so an enumerated carrier's table is a direct
+power of its one-cell table and is expanded from it by index arithmetic;
+the questions then read whole rows, with no method call per product.
 
 Subspaces here are coordinate subspaces described by support masks: the
 matrices orthogonal to x under the natural product are exactly those
@@ -208,23 +211,43 @@ def _yesno(flag, witness):
 
 
 class _Table:
-    """The multiplication table over indices (Froidure & Pin 1997).
+    """The product table of a finite family, over indices (Froidure & Pin 1997).
 
-    Elements keep their given order as indices 0..n-1; a product outside
-    them is interned with an index >= n, so `product(a, b) < n` is closure
-    and index equality stays exact on families that are not closed.
-    `product` computes by `apply` afresh, for walks that read each product
-    once; `mul` memoises it, for questions that read products again.
+    Members keep their given order as indices 0..n-1 and `rows[a][b]` is
+    the index of a·b.  A product outside the members is interned with an
+    index >= n: an entry >= n witnesses that the family is not closed, and
+    index equality stays exact.
+
+    Both operations act entrywise, and an enumerated carrier numbers its
+    members by their base-k digits, first entry most significant.  So it
+    is a direct power of its one-cell carrier: when that k-element table
+    `cell` is closed, every row is expanded from it with no matrix
+    product, afresh on each read unless `fill` has kept the whole table
+    (n² entries).  Without `cell`, a row is computed by `apply` once and
+    kept.  `mul` memoises the products of indices >= n.
     """
 
-    __slots__ = ("elements", "n", "index", "_apply", "_memo")
+    __slots__ = ("elements", "n", "index", "rows", "cell", "_apply", "_memo")
 
-    def __init__(self, elements, apply):
+    def __init__(self, elements, apply, cell=None):
         self.elements = list(elements)
         self.n = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
+        self.rows = [None] * self.n
+        self.cell = cell
         self._apply = apply
         self._memo = {}
+
+    @classmethod
+    def of(cls, carrier, max_elements=DEFAULT_MAX_ELEMENTS):
+        """The table of the carrier's members; an enumerated carrier's
+        one-cell table becomes `cell` when it is closed."""
+        elements, cell = carrier.elements(max_elements), None
+        if carrier.kind != "explicit":
+            one = Carrier(carrier.kind, Shape(1, 1), carrier.domain, None, carrier.op)
+            one_cell = cls(one.elements(), one.apply)
+            cell = one_cell.rows if one_cell.closure_witness() is None else None
+        return cls(elements, carrier.apply, cell)
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -236,34 +259,117 @@ class _Table:
     def product(self, a: int, b: int) -> int:
         return self.intern(self._apply(self.elements[a], self.elements[b]))
 
+    def row(self, a: int) -> list:
+        """The index of a·b for every member b."""
+        row, cell = self.rows[a], self.cell
+        if row is not None:
+            return row
+        if cell is None:
+            row = self.rows[a] = [self.product(a, b) for b in range(self.n)]
+            return row
+        # the digits of a, least significant first, pick the cell rows
+        row, size = [0], 1
+        while size < self.n:
+            a, d = divmod(a, len(cell))
+            row = [c * size + x for c in cell[d] for x in row]
+            size *= len(cell)
+        return row
+
+    def fill(self):
+        """Keep every row (n² entries); returns the table."""
+        cell = self.cell
+        if cell is None:
+            self.rows = [self.row(a) for a in range(self.n)]
+            return self
+        # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
+        rows, size = [[0]], 1
+        while size < self.n:
+            rows = [[c * size + x for c in hi for x in lo] for hi in cell for lo in rows]
+            size *= len(cell)
+        self.rows = rows
+        return self
+
     def mul(self, a: int, b: int) -> int:
+        """The index of a·b, also when a or b is an index >= n."""
+        if a < self.n and b < self.n:
+            return self.row(a)[b]
         k = self._memo.get((a, b))
         if k is None:
             k = self._memo[a, b] = self.product(a, b)
         return k
 
     def closure_witness(self):
-        """The first pair (a, b) whose product leaves the elements, or None."""
-        idx = range(self.n)
-        return next(((a, b) for a in idx for b in idx if self.mul(a, b) >= self.n), None)
+        """The first pair (a, b) whose product leaves the members, or None."""
+        if self.cell is not None:
+            return None  # a direct power of a closed table is closed
+        n = self.n
+        for a in range(n):
+            row = self.row(a)
+            if max(row) >= n:
+                return a, next(b for b, k in enumerate(row) if k >= n)
+        return None
+
+    def commutativity_witness(self):
+        """The first pair a < b with a·b != b·a, or None, on the filled table.
+        The first row that differs from its column differs past the diagonal."""
+        for a, (row, col) in enumerate(zip(self.rows, zip(*self.rows))):
+            if tuple(row) != col:
+                return a, next(b for b, k in enumerate(row) if k != col[b])
+        return None
+
+    def unassociative_triples(self):
+        """The triples with (a·b)·c != a·(b·c) in order, on a filled closed
+        table: each pair (a, b) compares the whole row of c at once."""
+        rows = self.rows
+        for a, ra in enumerate(rows):
+            for b, rb in enumerate(rows):
+                left, right = rows[ra[b]], list(map(ra.__getitem__, rb))
+                if left != right:
+                    yield from ((a, b, c) for c, k in enumerate(left) if k != right[c])
 
     def idempotents(self):
-        return [a for a in range(self.n) if self.mul(a, a) == a]
+        """The a with a·a = a, in order: read from the cell table's diagonal,
+        from kept rows, or else computed."""
+        cell = self.cell
+        if cell is None:
+            diagonal = [self.product(a, a) if r is None else r[a] for a, r in enumerate(self.rows)]
+        else:
+            diagonal, size = [0], 1
+            while size < self.n:
+                diagonal = [cell[d][d] * size + x for d in range(len(cell)) for x in diagonal]
+                size *= len(cell)
+        return [a for a, d in enumerate(diagonal) if a == d]
 
     def members(self, indices):
         return None if indices is None else tuple(self.elements[i] for i in indices)
 
-    def h_classes(self, idempotents):
+    def h_classes(self, idempotents, closed):
         """(e, maximal subgroup at e) per idempotent, full support first.
 
-        Members are the a with a.e = a possessing an inverse relative to e
-        among those candidates; in a commutative semigroup this is the
-        H-class of e.  Lazy: a caller that stops early computes no more.
+        Both operations commute, so the group at e holds the a with a·e = a
+        that have an inverse relative to e among those: the H-class of e.
+        On a closed table that is the a with a·e = a whose powers a, a², …
+        reach e (Clifford & Preston 1961), and a^(i+1) = a·a^i reads row a
+        only.  Powers may leave a table that is not closed, so there the
+        inverses are searched for.
         """
-        mul, elements = self.mul, self.elements
-        for e in sorted(idempotents, key=lambda i: (-support(elements[i]).popcount, i)):
-            candidates = [a for a in range(self.n) if mul(a, e) == a]
-            yield e, [a for a in candidates if any(mul(a, b) == e for b in candidates)]
+        n, row = self.n, self.row
+        order = sorted(idempotents, key=lambda i: (-support(self.elements[i]).popcount, i))
+        if closed:
+            groups = {e: [] for e in idempotents}
+            for a in range(n):
+                powers, e = row(a), a
+                while e not in groups:
+                    e = powers[e]
+                if powers[e] == a:
+                    groups[e].append(a)
+            return [(e, groups[e]) for e in order]
+
+        def group(e):
+            candidates = [a for a in range(n) if row(a)[e] == a]
+            return [a for a in candidates if any(row(a)[b] == e for b in candidates)]
+
+        return [(e, group(e)) for e in order]
 
     def smarandache(self, subgroups):
         """The first proper subgroup of order >= 2, or None; when a subgroup
@@ -275,10 +381,10 @@ class _Table:
             if len(h) < n:
                 continue
             for a in range(n):
-                cycle, current = [e], a
+                powers, cycle, current = self.row(a), [e], a
                 while current != e and current < n and current not in cycle:
                     cycle.append(current)
-                    current = self.mul(current, a)
+                    current = powers[current]  # a·current: both operations commute
                 if current == e and 2 <= len(cycle) < n:
                     return sorted(cycle)
         return None
@@ -289,30 +395,31 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
 
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
+    Every question reads the filled table, n² entries.
     """
-    table = _Table(carrier.elements(ANALYZE_MAX_ELEMENTS), carrier.apply)
-    mul, n, members = table.mul, table.n, table.members
+    table = _Table.of(carrier, ANALYZE_MAX_ELEMENTS).fill()
+    elements, rows, n, mul, members = table.elements, table.rows, table.n, table.mul, table.members
     idx = range(n)
 
     closure_witness = table.closure_witness()
-    commutativity_witness = next(
-        ((a, b) for a, b in itertools.combinations(idx, 2) if mul(a, b) != mul(b, a)),
-        None,
-    )
+    closed = closure_witness is None
+    commutativity_witness = table.commutativity_witness()
 
-    if n <= ASSOC_EXHAUSTIVE_LIMIT:
-        mode = "exhaustive"
-        triples = ((a, b, c) for a in idx for b in idx for c in idx)
-    else:
+    if n > ASSOC_EXHAUSTIVE_LIMIT:
         rng = random.Random(seed)
         mode = f"sampled({samples})"
         triples = (tuple(rng.choice(idx) for _ in range(3)) for _ in range(samples))
+    else:
+        mode = "exhaustive"
+        triples = table.unassociative_triples() if closed else itertools.product(idx, repeat=3)
     associativity_witness = next(
         ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
     )
 
+    every = list(idx)
     identity = next(
-        (e for e in idx if all(mul(e, a) == a and mul(a, e) == a for a in idx)), None
+        (e for e in idx if rows[e] == every and all(row[e] == a for a, row in enumerate(rows))),
+        None,
     )
     idempotents = table.idempotents()
 
@@ -320,33 +427,34 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
     if carrier.op == NATURAL_PRODUCT:
         zero = table.intern(zeros(carrier.shape, carrier.domain))
         zero_divisor_pairs = tuple(
-            members((a, b))
-            for a in idx
-            for b in idx
-            if a != zero and b != zero and mul(a, b) == zero
+            (elements[a], elements[b])
+            for a, row in enumerate(rows)
+            if a != zero
+            for b in itertools.compress(idx, map(zero.__eq__, row))
+            if b != zero
         )
-    subgroups = list(table.h_classes(idempotents))
+    subgroups = table.h_classes(idempotents, closed)
 
     return StructureReport(
         carrier=carrier,
-        closed=closure_witness is None,
+        closed=closed,
         closure_witness=members(closure_witness),
         associative=associativity_witness is None,
         associativity_mode=mode,
         associativity_witness=members(associativity_witness),
         commutative=commutativity_witness is None,
         commutativity_witness=members(commutativity_witness),
-        identity=None if identity is None else table.elements[identity],
+        identity=None if identity is None else elements[identity],
         idempotents=members(idempotents),
         zero_divisor_pairs=zero_divisor_pairs,
-        max_subgroups=tuple((table.elements[e], members(h)) for e, h in subgroups),
+        max_subgroups=tuple((elements[e], members(h)) for e, h in subgroups),
         smarandache=members(table.smarandache(subgroups)),
     )
 
 
 def idempotents_in(carrier: Carrier):
     """All e with e ∘ e = e, in canonical order."""
-    table = _Table(carrier.elements(), carrier.apply)
+    table = _Table.of(carrier)
     return table.members(table.idempotents())
 
 
@@ -362,27 +470,27 @@ def ideal_generated(carrier: Carrier, x: Matrix):
     The carrier must be a semigroup under the natural product; for mask
     carriers the result is the down-set of x's support, of size
     2^popcount(support(x)).  A product that leaves the carrier raises
-    NotMember.  No product is read twice, so none is memoised.
+    NotMember.  The walk reads the row of each ideal member once.
     """
     if carrier.op != NATURAL_PRODUCT:
         raise UnsupportedDomain("ideals are computed under the natural product")
-    table = _Table(carrier.elements(), carrier.apply)
+    table = _Table.of(carrier)
     elements, n = table.elements, table.n
     g = table.index.get(x)
     if g is None:
         raise NotMember(f"{render_matrix(x)} is not a carrier member")
     inside, todo = {g}, [g]
     for f in todo:
-        for s in range(n):
-            k = table.product(f, s)
-            if k >= n:
-                raise NotMember(
-                    f"{render_matrix(elements[f])} * {render_matrix(elements[s])} = "
-                    f"{render_matrix(elements[k])} is not a carrier member"
-                )
-            if k not in inside:
-                inside.add(k)
-                todo.append(k)
+        row = table.row(f)
+        if max(row) >= n:
+            s = next(s for s, k in enumerate(row) if k >= n)
+            raise NotMember(
+                f"{render_matrix(elements[f])} * {render_matrix(elements[s])} = "
+                f"{render_matrix(elements[row[s]])} is not a carrier member"
+            )
+        fresh = [k for k in dict.fromkeys(row) if k not in inside]
+        inside.update(fresh)
+        todo += fresh
     members = table.members(sorted(inside))
     return GeneratedIdeal(members, len(members))
 
@@ -394,8 +502,9 @@ def is_smarandache(carrier: Carrier):
     idempotents first (the largest subgroup sits at the identity when
     there is one); singleton groups never certify.
     """
-    table = _Table(carrier.elements(), carrier.apply)
-    return table.members(table.smarandache(table.h_classes(table.idempotents())))
+    table = _Table.of(carrier)
+    closed = table.closure_witness() is None
+    return table.members(table.smarandache(table.h_classes(table.idempotents(), closed)))
 
 
 def _members(carrier: Carrier, subset):
@@ -415,9 +524,9 @@ def is_subsemigroup(carrier: Carrier, subset):
 
 def is_ideal(carrier: Carrier, subset):
     """Does the subset of carrier members absorb multiplication by every member?"""
-    table = _Table(carrier.elements(), carrier.apply)
+    table = _Table.of(carrier)
     inside = {table.index[m] for m in _members(carrier, subset)}
-    return all(table.product(a, s) in inside for a in inside for s in range(table.n))
+    return all(inside.issuperset(table.row(a)) for a in inside)
 
 
 # -- support-mask subspaces ---------------------------------------------------

@@ -185,6 +185,14 @@ def test_divides_refuses_different_partitions():
     assert same.exit_code == 0 and same.payload == "[2 | 2]"
 
 
+def test_uprod_refuses_a_partitioned_left_operand_before_comparing_cuts():
+    # the right operand has other cuts (none), but no usual product of a
+    # partitioned matrix is defined, so that is the error reported
+    report = run("eval", "uprod", "[1 | 0]", "[1;0]", "--domain", "Z")
+    assert report.exit_code == 2 and report.payload == ""
+    assert "TypeMismatch: the usual product is undefined on partitioned matrices" in report.diagnostics
+
+
 def test_poly_int_refuses_a_constant_with_other_cuts():
     for poly, const in (
         ("[2 4 6] * x", "[5 | 6 7]"),

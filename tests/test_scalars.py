@@ -204,6 +204,25 @@ def test_hashes_do_not_depend_on_the_hash_seed():
     assert len(outputs) == 1
 
 
+def test_values_with_a_none_field_hash_alike_in_every_process():
+    # an enumerated carrier has no members and a plain polynomial no partition
+    code = (
+        "from natprod import Carrier, Z, parse_poly; "
+        "print(hash(Carrier.masks((1, 2))), hash(parse_poly('[1 2] + [3 4] * x', Z)))"
+    )
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONHASHSEED": "0"},
+            capture_output=True,
+            text=True,
+            check=True,
+        ).stdout
+        for _ in range(2)
+    ]
+    assert outputs[0] == outputs[1]
+
+
 def test_racing_threads_share_one_domain():
     # moduli no other test builds, so every thread races to create each one
     moduli = range(10**9, 10**9 + 2000)

@@ -41,7 +41,12 @@ from natprod import (
     support,
     zeros,
 )
-from natprod.structures import ASSOC_EXHAUSTIVE_LIMIT, DEFAULT_MAX_ELEMENTS, StructureReport
+from natprod.structures import (
+    ASSOC_EXHAUSTIVE_LIMIT,
+    DEFAULT_MAX_ELEMENTS,
+    StructureReport,
+    _Table,
+)
 from natprod.verify import rand_matrix
 
 
@@ -468,6 +473,13 @@ REFERENCE_CARRIERS = {
     "signs:2": _sign_group(2),
     "signs:3": _sign_group(3),
     "signs:3:add": Carrier.explicit(_sign_group(3).members, op=ADDITION),
+    # units of order 36 with cyclic subgroups of order 3 and 6: the power walk
+    "all:1x2:Zn:7": Carrier.all_matrices(Shape(1, 2), Mod(7)),
+    # 2 * 2 = 0: powers of [2 x] reach an idempotent whose group they are not in
+    "all:1x2:Zn:4": Carrier.all_matrices(Shape(1, 2), Mod(4)),
+    # a closed one-cell table under addition, and one that is not (1 + 1 = 2)
+    "masks:1x3:Zn:2:add": Carrier.masks(Shape(1, 3), Mod(2), op=ADDITION),
+    "masks:1x3:add": Carrier.masks(Shape(1, 3), op=ADDITION),
 }
 
 
@@ -557,21 +569,56 @@ def test_is_subsemigroup_answers_past_the_enumeration_bound():
         is_subsemigroup(masks, [ones(Shape(4, 4), Z_PLUS).scale(2)])
 
 
+@pytest.mark.parametrize(
+    "name", sorted(name for name, c in REFERENCE_CARRIERS.items() if c.kind != "explicit")
+)
+def test_index_filled_rows_match_products_pair_by_pair(name):
+    carrier = REFERENCE_CARRIERS[name]
+    elements = carrier.elements()
+    n = len(elements)
+    index = {m: i for i, m in enumerate(elements)}
+    want = [[index.setdefault(carrier.apply(a, b), len(index)) for b in elements] for a in elements]
+    closed = all(k < n for row in want for k in row)
+    fresh = _Table.of(carrier)
+    # the one-cell table is kept exactly when the carrier, its direct power, is closed
+    assert (fresh.cell is not None) == closed
+    assert [fresh.row(a) for a in range(n)] == want
+    assert fresh.idempotents() == [a for a in range(n) if want[a][a] == a]
+    assert _Table.of(carrier).fill().rows == want
+
+
 def test_single_read_walks_compute_each_product_once(monkeypatch):
     calls = []
     natural_product = Matrix.__mul__
 
     def counting(a, b):
-        calls.append(None)
+        calls.append((a, b))
         return natural_product(a, b)
 
     monkeypatch.setattr(Matrix, "__mul__", counting)
-    for carrier in (Carrier.masks(Shape(2, 3)), Carrier.all_matrices(Shape(1, 3), Mod(3))):
-        n = carrier.cardinality()
+    # an enumerated carrier computes only its k x k one-cell table
+    enumerated = ((Carrier.masks(Shape(2, 3)), 2), (Carrier.all_matrices(Shape(1, 3), Mod(3)), 3))
+    for carrier, k in enumerated:
         for x in carrier.elements()[::9]:
             calls.clear()
-            ideal = ideal_generated(carrier, x)
-            assert len(calls) == ideal.cardinality * n
+            ideal_generated(carrier, x)
+            assert 0 < len(calls) <= k * k
         calls.clear()
         idempotents_in(carrier)
-        assert len(calls) == n
+        assert 0 < len(calls) <= k * k
+    # an explicit carrier computes a product at most once: the ideal walk
+    # reads one row per member, the idempotents one diagonal
+    for name in ("signs:3", "explicit:1,2:Zn:6", "explicit:random:Zn:6"):
+        carrier = REFERENCE_CARRIERS[name]
+        n = carrier.cardinality()
+        for x in carrier.elements():
+            calls.clear()
+            try:
+                rows = ideal_generated(carrier, x).cardinality
+            except NotMember:
+                rows = None
+            assert len(set(calls)) == len(calls)
+            assert rows is None or len(calls) == rows * n
+        calls.clear()
+        idempotents_in(carrier)
+        assert len(calls) == n and len(set(calls)) == n
