@@ -201,7 +201,7 @@ def _solve(p, fmt):
     supported = set(p._terms)
     # Q keeps the quadratic formula even for a*x^2 + c: its root order and
     # failure text differ from solve_binomial's.
-    if degree == 2 and (1 in supported or p.domain == Q):
+    if degree == 2 and (1 in supported or p.domain is Q):
         try:
             roots = mp.solve_quadratic(p.coeff(2), p.coeff(1), p.coeff(0))
         except NoRationalRoot as exc:

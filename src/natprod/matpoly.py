@@ -81,7 +81,7 @@ class MatPoly(_Value):
                 raise ShapeMismatch(
                     f"coefficient at degree {deg} has shape {coeff.shape}, expected {shape}"
                 )
-            if coeff.domain != domain:
+            if coeff.domain is not domain:
                 raise DomainMismatch(
                     f"coefficient at degree {deg} is over {coeff.domain.code}"
                 )
@@ -145,7 +145,7 @@ class MatPoly(_Value):
         return (
             isinstance(other, MatPoly)
             and self.shape == other.shape
-            and self.domain == other.domain
+            and self.domain is other.domain
             and self.ptype == other.ptype
             and self._terms == other._terms
         )
@@ -167,7 +167,7 @@ class MatPoly(_Value):
             raise TypeError(f"expected a MatPoly, got {type(other).__name__}")
         if self.shape != other.shape:
             raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
-        if self.domain != other.domain:
+        if self.domain is not other.domain:
             raise DomainMismatch(
                 f"domains differ: {self.domain.code} vs {other.domain.code}"
             )
@@ -294,7 +294,7 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
         constant = zeros(p.shape, domain)
     if constant.shape != p.shape:
         raise ShapeMismatch("integration constant has the wrong shape")
-    if constant.domain != domain:
+    if constant.domain is not domain:
         raise DomainMismatch("integration constant has the wrong domain")
     terms = {}
     for deg, coeff in p._terms.items():
@@ -328,7 +328,7 @@ def poly_evaluate_natural(p: MatPoly, x: Matrix) -> Matrix:
     """Substitute x for the variable, with powers under the natural product."""
     if x.shape != p.shape:
         raise ShapeMismatch(f"argument shape {x.shape} differs from {p.shape}")
-    if x.domain != p.domain:
+    if x.domain is not p.domain:
         raise DomainMismatch("argument domain differs")
     total = zeros(p.shape, p.domain)
     power = ones(p.shape, p.domain)
@@ -412,7 +412,7 @@ def solve_binomial(a: Matrix, c: Matrix, k: int) -> RootSet:
     """
     if k < 1:
         raise ValueError("k must be a positive integer")
-    if a.domain not in (Z, Q):
+    if a.domain is not Z and a.domain is not Q:
         raise UnsupportedDomain("componentwise roots are taken over Z or Q")
     a._check_peer(c)
     _require_entrywise_nonzero(a)
@@ -443,7 +443,7 @@ def solve_quadratic(a: Matrix, b: Matrix, c: Matrix) -> RootSet:
     Every component's discriminant must be a perfect rational square,
     otherwise NoRationalRoot (carrying the first offending component).
     """
-    if a.domain != Q:
+    if a.domain is not Q:
         raise UnsupportedDomain("the quadratic formula is applied over Q")
     a._check_peer(b)
     a._check_peer(c)

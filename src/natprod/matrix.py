@@ -35,7 +35,7 @@ from .errors import (
     ZeroDivisorEntry,
     shorten,
 )
-from .scalars import Domain, Q, Scalar, Z, _Value, domain_from_code
+from .scalars import Domain, Q, Scalar, Z, _Value, domain_from_code, render_values
 
 
 class Shape(NamedTuple):
@@ -126,17 +126,7 @@ class Matrix(_Value):
 
     @classmethod
     def from_rows(cls, rows, domain: Domain, row_cuts=(), col_cuts=()):
-        rows = [list(r) for r in rows]
-        if not rows or not rows[0]:
-            raise ValueError("matrix needs at least one entry")
-        cols = len(rows[0])
-        if any(len(r) != cols for r in rows):
-            raise ValueError("ragged rows")
-        flat = [v for r in rows for v in r]
-        m = cls(Shape(len(rows), cols), domain, flat)
-        if row_cuts or col_cuts:
-            m = m.with_partition(PartitionType(m.shape, row_cuts, col_cuts))
-        return m
+        return _from_rows(rows, domain, row_cuts, col_cuts, domain.coerce)
 
     # -- partition -------------------------------------------------------
 
@@ -184,7 +174,7 @@ class Matrix(_Value):
         return (
             isinstance(other, Matrix)
             and self.shape == other.shape
-            and self.domain == other.domain
+            and self.domain is other.domain
             and self.values == other.values
             and (self.partition is other.partition or self.partition == other.partition)
         )
@@ -206,7 +196,7 @@ class Matrix(_Value):
             raise TypeError(f"expected a Matrix, got {type(other).__name__}")
         if same_shape and self.shape != other.shape:
             raise ShapeMismatch(f"shapes differ: {self.shape} vs {other.shape}")
-        if self.domain != other.domain:
+        if self.domain is not other.domain:
             raise DomainMismatch(
                 f"domains differ: {self.domain.code} vs {other.domain.code}"
             )
@@ -252,7 +242,7 @@ class Matrix(_Value):
 
     def __matmul__(self, other):
         """Usual matrix product; undefined on partitioned matrices."""
-        if self.partition is not None:
+        if self.partition is not None or isinstance(other, Matrix) and other.partition is not None:
             raise TypeMismatch("the usual product is undefined on partitioned matrices")
         self._check_peer(other, same_shape=False)
         if self.shape.cols != other.shape.rows:
@@ -296,6 +286,26 @@ _new = object.__new__
 _set_shape, _set_domain, _set_values, _set_partition = (
     Matrix.__dict__[name].__set__ for name in Matrix.__slots__
 )
+
+
+def _from_rows(rows, domain, row_cuts, col_cuts, coerce=None):
+    """The matrix of `rows` cut by the given cuts: entries canonical for
+    `domain` already, or made so by `coerce` once the rows are checked."""
+    rows = [list(r) for r in rows]
+    if not rows or not rows[0]:
+        raise ValueError("matrix needs at least one entry")
+    cols = len(rows[0])
+    if any(len(r) != cols for r in rows):
+        raise ValueError("ragged rows")
+    shape = Shape(len(rows), cols)
+    values = [v for r in rows for v in r]
+    values = tuple(values if coerce is None else map(coerce, values))
+    ptype = None
+    if row_cuts or col_cuts:
+        ptype = PartitionType(shape, row_cuts, col_cuts)
+        if ptype.is_plain:
+            ptype = None
+    return Matrix._make(shape, domain, values, ptype)
 
 
 # -- integer kernels -------------------------------------------------------
@@ -393,9 +403,8 @@ def natural_inverse(a: Matrix) -> Matrix:
     Exists exactly when every entry is a unit of the domain (so never for
     an integer matrix with an entry outside {1, -1}, and never with a 0).
     """
-    inv = a.domain.inv
     try:
-        values = tuple(inv(v) for v in a.values)
+        values = tuple(map(a.domain.inv, a.values))
     except NotAUnit as exc:
         raise NotInvertible(str(exc)) from exc
     return Matrix._make(a.shape, a.domain, values, a.partition)
@@ -426,7 +435,7 @@ def divides(a: Matrix, b: Matrix):
     in Z.  The operands must share their partition, which the quotient
     carries.
     """
-    if a.domain != Z or b.domain != Z:
+    if a.domain is not Z or b.domain is not Z:
         raise DomainMismatch("divides is defined over Z")
     a._check_peer(b)
     quotient = []
@@ -457,7 +466,7 @@ def _is_prime(n):
 
 def is_prime_row(a: Matrix) -> bool:
     """True iff a is a 1 x n integer row with every entry a positive prime."""
-    if a.domain != Z or a.shape.rows != 1:
+    if a.domain is not Z or a.shape.rows != 1:
         return False
     return all(_is_prime(v) for v in a.values)
 
@@ -591,20 +600,24 @@ def trivial_idempotents(shape):
 
 def render_matrix(a: Matrix) -> str:
     """Canonical literal: `[a b c;d e f]`, cuts shown as `|` and `--`."""
-    c = a.shape.cols
-    render = a.domain.render
-    row_cuts, col_cuts = (), ()
-    if a.partition is not None:
-        row_cuts, col_cuts = a.partition.row_cuts, a.partition.col_cuts
+    lines = _text_rows(a)
+    if a.partition is None:
+        return "[" + ";".join(map(" ".join, lines)) + "]"
     rows = []
-    for i in range(a.shape.rows):
-        if i in row_cuts:
+    for i, cells in enumerate(lines):
+        if i in a.partition.row_cuts:
             rows.append("--")
-        cells = [render(v) for v in a.values[i * c : (i + 1) * c]]
-        for j in reversed(col_cuts):
+        for j in reversed(a.partition.col_cuts):
             cells.insert(j, "|")
         rows.append(" ".join(cells))
     return "[" + ";".join(rows) + "]"
+
+
+def _text_rows(a: Matrix) -> list:
+    """The entries of `a` as text, one list per row."""
+    texts = render_values(a.values)
+    c = a.shape.cols
+    return [texts[i : i + c] for i in range(0, len(texts), c)]
 
 
 def parse_literal(text: str, domain: Domain = Q) -> Matrix:
@@ -680,7 +693,7 @@ def _parse_span(text, start, end, domain):
         raise RaggedCuts("column cuts differ between rows", *_location(text, start))
     if any(c >= len(rows[0]) for c in cut_layouts[0]):
         raise RaggedCuts("column cut after the last entry", *_location(text, start))
-    return Matrix.from_rows(rows, domain, row_cuts=row_cuts, col_cuts=cut_layouts[0])
+    return _from_rows(rows, domain, row_cuts, cut_layouts[0])
 
 
 def parse_matrix(text: str, domain: Domain = Q) -> Matrix:
@@ -712,16 +725,11 @@ def _json_cuts(obj):
 
 def matrix_to_json(a: Matrix) -> dict:
     """Canonical JSON form; cut lists only when the matrix is partitioned."""
-    render = a.domain.render
-    c = a.shape.cols
     obj = {
         "domain": a.domain.code,
         "rows": a.shape.rows,
         "cols": a.shape.cols,
-        "entries": [
-            [render(v) for v in a.values[i * c : (i + 1) * c]]
-            for i in range(a.shape.rows)
-        ],
+        "entries": _text_rows(a),
     }
     if a.partition is not None:
         obj["row_cuts"] = list(a.partition.row_cuts)
@@ -736,7 +744,7 @@ def matrix_from_json(obj) -> Matrix:
             obj = json.loads(obj)
         domain = domain_from_code(obj["domain"])
         rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
-        m = Matrix.from_rows(rows, domain, *_json_cuts(obj))
+        m = _from_rows(rows, domain, *_json_cuts(obj))
         declared = Shape(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols"))
     except JSON_INPUT_ERRORS as exc:
         raise ParseError(f"malformed matrix JSON: {exc!r}") from None

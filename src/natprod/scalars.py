@@ -31,7 +31,10 @@ NONNEG_INT_KIND = "nonneg_int"
 NONNEG_RAT_KIND = "nonneg_rat"
 _KINDS = (INT_KIND, RAT_KIND, MOD_KIND, NONNEG_INT_KIND, NONNEG_RAT_KIND)
 
-_SCALAR_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
+# The scalar grammar: an optional sign and decimal digits, then optionally
+# `/` and decimal digits, with whitespace around.  re's \s and \d take as
+# whitespace and digits exactly what str.strip() and int() do.
+_SCALAR_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
 
 class _Value:
@@ -143,7 +146,7 @@ class Domain(_Value):
     def coerce(self, value):
         """Normalize `value` into this domain, validating its constraints."""
         if isinstance(value, Scalar):
-            if value.domain != self:
+            if value.domain is not self:
                 raise DomainMismatch(
                     f"scalar of domain {value.domain.code} used in {self.code}"
                 )
@@ -160,7 +163,7 @@ class Domain(_Value):
             if isinstance(value, (int, Fraction)):
                 if type(value) is not Fraction:
                     value = Fraction(value)
-                if value < 0:
+                if value.numerator < 0:
                     raise ConeViolation(f"{value} is negative in {self.code}")
                 return value
         elif isinstance(value, Fraction):
@@ -214,38 +217,55 @@ class Domain(_Value):
         return a > 0  # Q+: every strictly positive rational has an inverse
 
     def inv(self, a):
-        if not self.is_unit(a):
-            raise NotAUnit(f"{self.render(a)} is not a unit in {self.code}")
-        if self.kind == MOD_KIND:
-            return pow(a, -1, self.modulus)
         if self.is_rational:
-            return Fraction(1) / a
-        return a  # 1 and -1 are self-inverse
+            # a is reduced, so its inverse is den/num; the sign is num's
+            num, den = a.as_integer_ratio()
+            if num > 0 or num and not self.is_cone:
+                return Fraction(den, num)
+        elif self.is_unit(a):
+            # over Z and Z+ the units 1 and -1 are their own inverses
+            return pow(a, -1, self.modulus) if self.is_modular else a
+        raise NotAUnit(f"{self.render(a)} is not a unit in {self.code}")
 
     # -- text form ------------------------------------------------------
 
     def render(self, a):
-        try:
-            if isinstance(a, Fraction) and a.denominator != 1:
-                return f"{a.numerator}/{a.denominator}"
-            return str(int(a))
-        except ValueError:  # only an int past the int/str digit limit fails here
-            raise TooLarge(_past_digit_limit("an integer to print")) from None
+        return render_values((a,))[0]
 
     def parse(self, text):
-        text = text.strip()
-        if not _SCALAR_RE.match(text):
-            raise ParseError(f"bad scalar literal {shorten(text)!r}")
-        if "/" in text:
-            num, den = map(_parse_int, text.split("/"))
-            if den == 0:
-                raise ParseError(f"zero denominator in {shorten(text)!r}")
-            value = Fraction(num, den)
-            if value.denominator != 1 and not self.is_rational:
-                raise ParseError(f"{shorten(text)} is not an integer in {self.code}")
-        else:
-            value = _parse_int(text)
-        return self.coerce(value)
+        """The value of the literal `text` (see _SCALAR_RE), built for this domain."""
+        match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
+        if match is None:
+            # a JSON entry that is not text raises AttributeError in strip()
+            raise ParseError(f"bad scalar literal {shorten(text.strip())!r}")
+        num, den = match.groups()
+        value = num = _parse_int(num)
+        if den is not None:
+            den = _parse_int(den)
+            if not den:
+                raise ParseError(f"zero denominator in {shorten(text.strip())!r}")
+            if self.is_rational:
+                value = Fraction(num, den)
+            else:
+                value, rest = divmod(num, den)
+                if rest:
+                    raise ParseError(f"{shorten(text.strip())} is not an integer in {self.code}")
+        elif self.is_rational:
+            value = Fraction(num)
+        if self.is_modular:
+            return value % self.modulus
+        if self.is_cone and num < 0:
+            raise ConeViolation(f"{value} is negative in {self.code}")
+        return value
+
+
+def render_values(values):
+    """The text of each of `values`: an integer, or `p/q` in lowest terms
+    (which is what str gives of a Fraction)."""
+    try:
+        return list(map(str, values))
+    except ValueError:  # only an int past the int/str digit limit fails here
+        raise TooLarge(_past_digit_limit("an integer to print")) from None
 
 
 def _past_digit_limit(what):
@@ -298,7 +318,7 @@ class Scalar(_Value):
     def _peer(self, other):
         if not isinstance(other, Scalar):
             return Scalar(self.domain, other)
-        if other.domain != self.domain:
+        if other.domain is not self.domain:
             raise DomainMismatch(
                 f"domains differ: {self.domain.code} vs {other.domain.code}"
             )

@@ -24,6 +24,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .errors import NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
 from .matrix import (
@@ -74,7 +75,7 @@ class Carrier(_Value):
             raise ValueError("explicit carrier needs at least one member")
         shape, domain = matrices[0].shape, matrices[0].domain
         for m in matrices:
-            if m.shape != shape or m.domain != domain:
+            if m.shape != shape or m.domain is not domain:
                 raise ShapeMismatch("explicit members must share shape and domain")
         if len(set(matrices)) != len(matrices):
             raise ValueError("explicit members must be pairwise distinct")
@@ -121,7 +122,7 @@ class Carrier(_Value):
         if not (
             isinstance(m, Matrix)
             and m.shape == self.shape
-            and m.domain == self.domain
+            and m.domain is self.domain
             and m.partition is None
         ):
             return False
@@ -153,7 +154,7 @@ class StructureReport:
     smarandache: tuple | None
 
     def to_json(self) -> dict:
-        lit = render_matrix
+        lit = cache(render_matrix)  # a member recurs in many pairs: render it once
 
         def lits(seq):
             return None if seq is None else [lit(m) for m in seq]
@@ -615,7 +616,7 @@ def check_sum(subspaces) -> SumReport:
     for w in subspaces:
         if w.shape != shape:
             raise ShapeMismatch("subspaces must share one shape")
-        if w.domain != subspaces[0].domain:
+        if w.domain is not subspaces[0].domain:
             raise ShapeMismatch("subspaces must share one domain")
     union = SupportMask(shape, [0] * shape.size)
     overlaps = []

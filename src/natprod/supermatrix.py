@@ -37,7 +37,7 @@ class SuperMatrix:
 
 def same_type(s: Matrix, t: Matrix) -> bool:
     """Identical shape, domain and both cut sets."""
-    return s.ptype == t.ptype and s.domain == t.domain
+    return s.ptype == t.ptype and s.domain is t.domain
 
 
 def super_ones(ptype: PartitionType, domain) -> Matrix:

@@ -853,7 +853,7 @@ def run_laws(seed=0, samples=10000):
             witness = witness or (p, c)
         p_int = rand_poly(rng, shape, domain=Z)
         d = mp.poly_derivative(p_int)
-        if d.domain != Z or any(
+        if d.domain is not Z or any(
             not isinstance(v, int) for _, coeff in d.terms for v in coeff.values
         ):
             fails += 1

@@ -193,6 +193,13 @@ def test_uprod_refuses_a_partitioned_left_operand_before_comparing_cuts():
     assert "TypeMismatch: the usual product is undefined on partitioned matrices" in report.diagnostics
 
 
+def test_uprod_refuses_a_partitioned_right_operand_before_comparing_cuts():
+    report = run("eval", "uprod", "[1;0]", "[1 | 0]", "--domain", "Z")
+    assert report.exit_code == 2 and report.payload == ""
+    assert "TypeMismatch: the usual product is undefined on partitioned matrices" in report.diagnostics
+    assert "partitions differ" not in report.diagnostics
+
+
 def test_poly_int_refuses_a_constant_with_other_cuts():
     for poly, const in (
         ("[2 4 6] * x", "[5 | 6 7]"),

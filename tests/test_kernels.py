@@ -1,7 +1,10 @@
-"""The integer kernels of `@`, `usual_inverse` and the MatPoly convolutions
-against the plain Fraction/int loops they replaced (kept here, test-only,
-as `_ref_*`).  Results must agree exactly, value types included."""
+"""The integer kernels of `@`, `usual_inverse` and the MatPoly convolutions,
+and the per-entry paths of parse, render and `natural_inverse`, against the
+plain Fraction/int code they replaced (kept here, test-only, as `_ref_*`).
+Results must agree exactly, value types included; so must the type and
+message of every exception."""
 
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,19 +15,30 @@ from natprod import (
     MatPoly,
     Matrix,
     Mod,
+    NotAUnit,
     NotInvertible,
+    ParseError,
+    PartitionType,
     Q,
     Q_PLUS,
     Shape,
     SingularLead,
+    TooLarge,
     Z,
     Z_PLUS,
     identity,
+    matrix_from_json,
+    matrix_to_json,
     monicize_usual,
+    natural_inverse,
+    parse_literal,
     parse_poly,
+    render_matrix,
     zeros,
 )
+from natprod.errors import shorten
 from natprod.matrix import _lift, usual_inverse
+from natprod.scalars import _parse_int, _past_digit_limit
 
 DOMAINS = [Z, Q, Z_PLUS, Q_PLUS, Mod(7), Mod(12)]
 PRIMES = [10007, 1000003, 2**31 - 1, 2**61 - 1]
@@ -94,6 +108,62 @@ def _ref_monicize_usual(p):
     return MatPoly(p.shape, p.domain, {d: _ref_matmul(t, c) for d, c in p._terms.items()})
 
 
+def _ref_parse(domain, text):
+    """Domain.parse as a round trip: strip, match, split, Fraction, coerce."""
+    text = text.strip()
+    if not re.match(r"^[+-]?\d+(/\d+)?$", text):
+        raise ParseError(f"bad scalar literal {shorten(text)!r}")
+    if "/" in text:
+        num, den = map(_parse_int, text.split("/"))
+        if den == 0:
+            raise ParseError(f"zero denominator in {shorten(text)!r}")
+        value = Fraction(num, den)
+        if value.denominator != 1 and not domain.is_rational:
+            raise ParseError(f"{shorten(text)} is not an integer in {domain.code}")
+    else:
+        value = _parse_int(text)
+    return domain.coerce(value)
+
+
+def _ref_render(a):
+    """The canonical literal, one Domain.render-style call per entry."""
+
+    def render(v):
+        try:
+            if isinstance(v, Fraction) and v.denominator != 1:
+                return f"{v.numerator}/{v.denominator}"
+            return str(int(v))
+        except ValueError:
+            raise TooLarge(_past_digit_limit("an integer to print")) from None
+
+    c = a.shape.cols
+    row_cuts, col_cuts = a.ptype.row_cuts, a.ptype.col_cuts
+    rows = []
+    for i in range(a.shape.rows):
+        if i in row_cuts:
+            rows.append("--")
+        cells = [render(v) for v in a.values[i * c : (i + 1) * c]]
+        for j in reversed(col_cuts):
+            cells.insert(j, "|")
+        rows.append(" ".join(cells))
+    return "[" + ";".join(rows) + "]"
+
+
+def _ref_natural_inverse(a):
+    """Entrywise inverse: a unit test, then Fraction(1) / v on Q and Q+."""
+    domain, values = a.domain, []
+    for v in a.values:
+        if not domain.is_unit(v):
+            raise NotInvertible(f"{v} is not a unit in {domain.code}")
+        if domain.is_modular:
+            values.append(pow(v, -1, domain.modulus))
+        elif domain.is_rational:
+            values.append(Fraction(1) / v)
+        else:
+            values.append(v)
+    return Matrix(a.shape, domain, values).with_partition(a.partition)
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -116,6 +186,15 @@ def _outcome(fn, *args):
         return fn(*args)
     except (NotInvertible, SingularLead) as exc:
         return (type(exc).__name__, str(exc))
+
+
+def _typed_outcome(fn, *args):
+    """(type, value) of fn(*args), or (exception type, message)."""
+    try:
+        value = fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return type(value), value
 
 
 def _assert_same_outcome(got, want):
@@ -339,3 +418,121 @@ def test_monicize_usual_needs_a_row_swap():
     monic = monicize_usual(p)
     _assert_same(monic, _ref_monicize_usual(p))
     assert monic.lead() == identity(2, Q)
+
+
+# -- scalar parse, render and entrywise inverse ----------------------------------
+
+# Unicode decimal digits other than 0-9, which int() and the grammar accept
+_DIGITS = "0123456789" + "\u0663\u0967\uff17\u0e52"
+_SPACE = ["", " ", "\t", "\n", "\u00a0", "\u2003"]
+_PAST_LIMIT = "7" * 4301  # one digit past the default int/str conversion limit
+_EDGE_TOKENS = [
+    "-0", "+0", "0/5", "-0/5", "4/2", "-4/2", "1/2", "-1/2", "2/4", "-2/4", "1/0", "0/0",
+    "007", "-007/014", "+12", " 3 ", "1/-2", "--1", "1.5", "1e3", "", " ", "/2", "1/",
+    "1 2", "1_000", "0x10", "\u0663/\u0967", _PAST_LIMIT, "-" + _PAST_LIMIT,
+    "1/" + _PAST_LIMIT, _PAST_LIMIT + "/0", "0" * 4300 + "1", "x" * 100,
+]
+
+
+@st.composite
+def _scalar_tokens(draw):
+    """A sign, digits (leading zeros and non-ASCII ones too), an optional
+    `/q` (q may be 0), surrounded by whitespace."""
+    digits = st.text(_DIGITS, min_size=1, max_size=6)
+    token = draw(st.sampled_from(["", "+", "-"])) + draw(st.sampled_from(["", "0", "00"]))
+    token += draw(digits)
+    if draw(st.booleans()):
+        token += "/" + draw(st.one_of(st.just("0"), digits))
+    return draw(st.sampled_from(_SPACE)) + token + draw(st.sampled_from(_SPACE))
+
+
+_TOKENS = st.one_of(
+    _scalar_tokens(),
+    st.sampled_from(_EDGE_TOKENS),
+    st.text(_DIGITS + "+-/ .xe\t", max_size=8),
+)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_parse_matches_reference_on_edge_tokens(domain):
+    for token in _EDGE_TOKENS:
+        got, want = _typed_outcome(domain.parse, token), _typed_outcome(_ref_parse, domain, token)
+        assert got == want, shorten(token)
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(DOMAINS), _TOKENS)
+def test_parse_matches_reference(domain, token):
+    assert _typed_outcome(domain.parse, token) == _typed_outcome(_ref_parse, domain, token)
+
+
+def _rendered(a):
+    """render_matrix(a), after checking that the JSON entries and each
+    Domain.render agree with it."""
+    text = render_matrix(a)
+    entries = [cell for row in matrix_to_json(a)["entries"] for cell in row]
+    assert entries == [a.domain.render(v) for v in a.values]
+    return text
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_render_matches_reference(data):
+    domain = data.draw(st.sampled_from(DOMAINS))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    a = data.draw(matrices(domain, rows, cols))
+    row_cuts = data.draw(st.lists(st.integers(1, rows), max_size=2))
+    col_cuts = data.draw(st.lists(st.integers(1, cols), max_size=2))
+    row_cuts, col_cuts = [c for c in row_cuts if c < rows], [c for c in col_cuts if c < cols]
+    a = a.with_partition(PartitionType(a.shape, row_cuts, col_cuts))
+    text = _rendered(a)
+    assert text == _ref_render(a)
+    round_trip = parse_literal(text, domain)
+    _assert_same(round_trip, a)
+    assert round_trip.partition == a.partition
+    _assert_same(matrix_from_json(matrix_to_json(a)), a)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_render_past_the_digit_limit_matches_reference(domain):
+    big = 10**4300  # 4301 digits
+    value = Fraction(big, 3) if domain.is_rational else big
+    a = Matrix._make(Shape(1, 2), domain, (domain.one, value))
+    renders = (render_matrix, _ref_render, matrix_to_json, lambda m: domain.render(m.values[1]))
+    for render in renders:
+        assert _typed_outcome(render, a) == (TooLarge, _past_digit_limit("an integer to print"))
+    assert render_matrix(Matrix._make(Shape(1, 1), domain, (10**4299,))) == f"[{10**4299}]"
+
+
+def _units(domain):
+    if domain.is_modular:
+        return st.integers(0, domain.modulus - 1)
+    if domain.is_rational:
+        lo = 0 if domain.is_cone else -(PRIMES[-1])
+        return st.builds(Fraction, st.integers(lo, PRIMES[-1]), st.sampled_from(DENOMINATORS))
+    return st.sampled_from([1] if domain.is_cone else [1, -1])
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_natural_inverse_matches_reference(data):
+    domain = data.draw(st.sampled_from(DOMAINS))
+    rows, cols = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    values = data.draw(st.lists(_units(domain), min_size=rows * cols, max_size=rows * cols))
+    if data.draw(st.integers(0, 4)) == 0:
+        values[data.draw(st.integers(0, len(values) - 1))] = data.draw(_values(domain))
+    a = Matrix(Shape(rows, cols), domain, values)
+    if cols > 1 and data.draw(st.booleans()):
+        a = a.with_partition(PartitionType(a.shape, (), [1]))
+    _assert_same_outcome(_outcome(natural_inverse, a), _outcome(_ref_natural_inverse, a))
+
+
+@pytest.mark.parametrize(
+    "domain, value",
+    [(d, d.zero) for d in DOMAINS] + [(Z_PLUS, -1), (Q_PLUS, Fraction(-1, 2))],
+    ids=[f"{d.code}-zero" for d in DOMAINS] + ["Z+-negative", "Q+-negative"],
+)
+def test_inv_refuses_what_is_not_a_unit(domain, value):
+    with pytest.raises(NotAUnit) as info:
+        domain.inv(value)
+    assert str(info.value) == f"{value} is not a unit in {domain.code}"
