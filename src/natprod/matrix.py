@@ -716,6 +716,13 @@ def _json_int(value, what):
     return value
 
 
+def _json_array(value, what):
+    """`value` if it is a JSON array; a string, number, object or null is refused."""
+    if type(value) is not list:
+        raise ParseError(f"{what} must be a JSON array, got {shorten(repr(value))}")
+    return value
+
+
 def _json_cuts(obj):
     """(row_cuts, col_cuts) of a JSON object, each cut a JSON integer."""
     return tuple(
@@ -743,7 +750,8 @@ def matrix_from_json(obj) -> Matrix:
         if isinstance(obj, str):
             obj = json.loads(obj)
         domain = domain_from_code(obj["domain"])
-        rows = [[domain.parse(v) for v in row] for row in obj["entries"]]
+        entries = _json_array(obj["entries"], "entries")
+        rows = [[domain.parse(v) for v in _json_array(r, "a row of entries")] for r in entries]
         m = _from_rows(rows, domain, *_json_cuts(obj))
         declared = Shape(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols"))
     except JSON_INPUT_ERRORS as exc:

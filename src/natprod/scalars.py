@@ -236,7 +236,8 @@ class Domain(_Value):
         """The value of the literal `text` (see _SCALAR_RE), built for this domain."""
         match = _SCALAR_RE.fullmatch(text) if isinstance(text, str) else None
         if match is None:
-            # a JSON entry that is not text raises AttributeError in strip()
+            if not isinstance(text, str):  # a JSON number, array, object or null
+                raise ParseError(f"a scalar literal must be a string, got {shorten(repr(text))}")
             raise ParseError(f"bad scalar literal {shorten(text.strip())!r}")
         num, den = match.groups()
         value = num = _parse_int(num)
@@ -294,6 +295,8 @@ def Mod(n):
 
 def domain_from_code(code):
     """Inverse of Domain.code; accepts Z, Q, Z+, Q+, Zn:<n>."""
+    if not isinstance(code, str):  # a JSON number, array, object or null
+        raise ParseError(f"a domain code must be a string, got {shorten(repr(code))}")
     code = code.strip()
     for kind, known in _CODES.items():
         if code == known:

@@ -81,54 +81,54 @@ class Carrier(_Value):
             raise ValueError("explicit members must be pairwise distinct")
         return cls("explicit", shape, domain, matrices, op)
 
-    def cardinality(self):
+    @property
+    def cell(self):
+        """The values one entry takes, or None for an explicit carrier: an
+        enumerated carrier holds every row-major tuple of them."""
         if self.kind == "masks":
-            return 1 << self.shape.size
+            return (self.domain.zero, self.domain.one)
         if self.kind == "all":
-            return self.domain.modulus**self.shape.size
-        return len(self.members)
+            return range(self.domain.modulus)
+        return None
+
+    def cardinality(self):
+        cell = self.cell
+        if cell is None:
+            return len(self.members)
+        # len() of a range stops at sys.maxsize; a modulus may be larger
+        return (cell.stop if isinstance(cell, range) else len(cell)) ** self.shape.size
 
     def elements(self, max_elements=DEFAULT_MAX_ELEMENTS):
         """Members in canonical (row-major lexicographic) order."""
+        cell, shape = self.cell, self.shape
         # An enumerated carrier has at least 2^size members: sizes from the
         # bound's bit length up are refused before any power is computed.
         if (
-            self.kind != "explicit" and self.shape.size >= max_elements.bit_length()
+            cell is not None and shape.size >= max_elements.bit_length()
         ) or self.cardinality() > max_elements:
             raise TooLarge(
-                f"{self.kind} carrier of shape {self.shape} has more than "
+                f"{self.kind} carrier of shape {shape} has more than "
                 f"{max_elements} elements"
             )
-        n = self.cardinality()
-        if self.kind == "masks":
-            return tuple(
-                SupportMask.from_int(self.shape, i).to_matrix(self.domain)
-                for i in range(n)
-            )
-        if self.kind == "all":
-            mod = self.domain.modulus
-            return tuple(
-                Matrix(self.shape, self.domain, values)
-                for values in itertools.product(range(mod), repeat=self.shape.size)
-            )
-        return tuple(sorted(self.members, key=lambda m: m.values))
+        if cell is None:
+            return tuple(sorted(self.members, key=lambda m: m.values))
+        values = itertools.product(cell, repeat=shape.size)
+        return tuple(Matrix._make(shape, self.domain, v) for v in values)
 
     def __contains__(self, m):
         """Membership without enumerating the carrier.  An enumerated
         carrier holds no partitioned matrix; an explicit one holds its
         members, partitioned or not."""
-        if self.kind == "explicit":
+        cell = self.cell
+        if cell is None:
             return m in self.members
-        if not (
+        return (
             isinstance(m, Matrix)
             and m.shape == self.shape
             and m.domain is self.domain
             and m.partition is None
-        ):
-            return False
-        if self.kind == "masks":
-            return all(v == self.domain.zero or v == self.domain.one for v in m.values)
-        return True
+            and all(v in cell for v in m.values)
+        )
 
     def apply(self, a: Matrix, b: Matrix) -> Matrix:
         return a * b if self.op == NATURAL_PRODUCT else a + b
@@ -221,34 +221,36 @@ class _Table:
 
     Both operations act entrywise, and an enumerated carrier numbers its
     members by their base-k digits, first entry most significant.  So it
-    is a direct power of its one-cell carrier: when that k-element table
-    `cell` is closed, every row is expanded from it with no matrix
-    product, afresh on each read unless `fill` has kept the whole table
-    (n² entries).  Without `cell`, a row is computed by `apply` once and
-    kept.  `mul` memoises the products of indices >= n.
+    is a direct power of its one-cell carrier, whose filled k-element
+    table is `one`, and is associative or commutative when `one` is.
+    When `one` is closed, its rows are `cell`, and every row is expanded
+    from them with no matrix product, afresh on each read unless `fill`
+    has kept the whole table (n² entries).  Without `cell`, a row is
+    computed by `apply` once and kept.  `mul` memoises the products of
+    indices >= n.
     """
 
-    __slots__ = ("elements", "n", "index", "rows", "cell", "_apply", "_memo")
+    __slots__ = ("elements", "n", "index", "rows", "one", "cell", "_apply", "_memo")
 
-    def __init__(self, elements, apply, cell=None):
+    def __init__(self, elements, apply, one=None):
         self.elements = list(elements)
         self.n = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.rows = [None] * self.n
-        self.cell = cell
+        self.one = one
+        self.cell = one.rows if one is not None and one.closure_witness() is None else None
         self._apply = apply
         self._memo = {}
 
     @classmethod
     def of(cls, carrier, max_elements=DEFAULT_MAX_ELEMENTS):
-        """The table of the carrier's members; an enumerated carrier's
-        one-cell table becomes `cell` when it is closed."""
-        elements, cell = carrier.elements(max_elements), None
-        if carrier.kind != "explicit":
-            one = Carrier(carrier.kind, Shape(1, 1), carrier.domain, None, carrier.op)
-            one_cell = cls(one.elements(), one.apply)
-            cell = one_cell.rows if one_cell.closure_witness() is None else None
-        return cls(elements, carrier.apply, cell)
+        """The table of the carrier's members, with the one-cell table over
+        the cell values of an enumerated carrier."""
+        elements, cell, one = carrier.elements(max_elements), carrier.cell, None
+        if cell is not None:
+            cells = [Matrix._make(Shape(1, 1), carrier.domain, (v,)) for v in cell]
+            one = cls(cells, carrier.apply).fill()
+        return cls(elements, carrier.apply, one)
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -313,10 +315,24 @@ class _Table:
     def commutativity_witness(self):
         """The first pair a < b with a·b != b·a, or None, on the filled table.
         The first row that differs from its column differs past the diagonal."""
+        if self.one is not None and self.one.commutativity_witness() is None:
+            return None
         for a, (row, col) in enumerate(zip(self.rows, zip(*self.rows))):
             if tuple(row) != col:
                 return a, next(b for b, k in enumerate(row) if k != col[b])
         return None
+
+    def associativity_witness(self, triples=None):
+        """The first of the triples (by default all) with (a·b)·c != a·(b·c),
+        or None."""
+        if self.one is not None and self.one.associativity_witness() is None:
+            return None
+        if triples is None:
+            triples = itertools.product(range(self.n), repeat=3)
+        mul = self.mul
+        return next(
+            ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
+        )
 
     def unassociative_triples(self):
         """The triples with (a·b)·c != a·(b·c) in order, on a filled closed
@@ -355,7 +371,8 @@ class _Table:
         inverses are searched for.
         """
         n, row = self.n, self.row
-        order = sorted(idempotents, key=lambda i: (-support(self.elements[i]).popcount, i))
+        # fewest zero entries is largest support
+        order = sorted(idempotents, key=lambda i: (self.elements[i].values.count(0), i))
         if closed:
             groups = {e: [] for e in idempotents}
             for a in range(n):
@@ -396,10 +413,11 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
 
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
-    Every question reads the filled table, n² entries.
+    Every question reads the filled table, n² entries; an enumerated
+    carrier's associativity and commutativity are its one-cell table's.
     """
     table = _Table.of(carrier, ANALYZE_MAX_ELEMENTS).fill()
-    elements, rows, n, mul, members = table.elements, table.rows, table.n, table.mul, table.members
+    elements, rows, n, members = table.elements, table.rows, table.n, table.members
     idx = range(n)
 
     closure_witness = table.closure_witness()
@@ -412,10 +430,8 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         triples = (tuple(rng.choice(idx) for _ in range(3)) for _ in range(samples))
     else:
         mode = "exhaustive"
-        triples = table.unassociative_triples() if closed else itertools.product(idx, repeat=3)
-    associativity_witness = next(
-        ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
-    )
+        triples = table.unassociative_triples() if closed else None
+    associativity_witness = table.associativity_witness(triples)
 
     every = list(idx)
     identity = next(

@@ -238,6 +238,43 @@ def test_json_format_stable():
     assert obj == {"cols": 2, "domain": "Q", "entries": [["3", "8"]], "rows": 1}
 
 
+NON_ARRAY_OR_NON_TEXT_JSON = {
+    # read character by character, this string would be the column [1;2]
+    "string_entries": (
+        '{"domain":"Q","rows":2,"cols":1,"entries":"12"}',
+        "entries must be a JSON array, got '12'",
+    ),
+    "string_row": (
+        '{"domain":"Q","rows":1,"cols":2,"entries":["12"]}',
+        "a row of entries must be a JSON array, got '12'",
+    ),
+    "number_entry": (
+        '{"domain":"Q","rows":1,"cols":1,"entries":[[5]]}',
+        "a scalar literal must be a string, got 5",
+    ),
+    "null_entry": (
+        '{"domain":"Q","rows":1,"cols":1,"entries":[[null]]}',
+        "a scalar literal must be a string, got None",
+    ),
+    "number_domain": (
+        '{"domain":5,"rows":1,"cols":1,"entries":[["5"]]}',
+        "a domain code must be a string, got 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ARRAY_OR_NON_TEXT_JSON))
+def test_matrix_json_refuses_non_arrays_and_non_text(name):
+    text, message = NON_ARRAY_OR_NON_TEXT_JSON[name]
+    term = {"deg": 1, "coeff": json.loads(text)}
+    poly = json.dumps({"shape": {"rows": 1, "cols": 1}, "domain": "Q", "terms": [term]})
+    for argv in (["eval", "parse-render", text], ["complement", text], ["poly", "diff", poly]):
+        report = run(*argv)
+        assert (report.exit_code, report.payload) == (2, "")
+        assert f"ParseError: {message}" in report.diagnostics
+        assert "malformed" not in report.diagnostics
+
+
 def test_byte_identical_reruns():
     args = ("verify", "laws", "--samples", "50", "--seed", "7")
     first = run(*args)

@@ -16,6 +16,7 @@ from natprod import (
     NOT_SPANNING,
     NotMember,
     PSEUDO_DIRECT,
+    PartitionType,
     Q,
     Q_PLUS,
     Shape,
@@ -91,6 +92,80 @@ def test_huge_carrier_refused_before_counting():
         with pytest.raises(TooLarge) as info:
             analyze(carrier)
         assert "300x300" in str(info.value) and "1024" in str(info.value)
+
+
+def _ref_elements(carrier):
+    """The enumeration the cell alphabet replaced: a SupportMask per mask,
+    a coerced Matrix(...) per tuple of residues."""
+    shape, domain = carrier.shape, carrier.domain
+    if carrier.kind == "masks":
+        return tuple(
+            SupportMask.from_int(shape, i).to_matrix(domain) for i in range(1 << shape.size)
+        )
+    values = itertools.product(range(domain.modulus), repeat=shape.size)
+    return tuple(Matrix(shape, domain, v) for v in values)
+
+
+def _enumerated_up_to_the_bound():
+    """Masks over six domains and every matrix over Z_2..Z_7, in one- and
+    two-row shapes, up to DEFAULT_MAX_ELEMENTS members."""
+    for domain in (Z, Z_PLUS, Q, Q_PLUS, Mod(2), Mod(6)):
+        for shape in ((1, 1), (1, 3), (2, 3), (2, 5), (3, 4)):
+            yield Carrier.masks(Shape(*shape), domain)
+    for n in range(2, 8):
+        for size in itertools.count(1):
+            if n**size > DEFAULT_MAX_ELEMENTS:
+                break
+            yield Carrier.all_matrices(Shape(1, size), Mod(n))
+            if size % 2 == 0:
+                yield Carrier.all_matrices(Shape(2, size // 2), Mod(n))
+
+
+def test_enumeration_from_the_cell_matches_the_reference():
+    for carrier in _enumerated_up_to_the_bound():
+        want = _ref_elements(carrier)
+        got = carrier.elements()
+        assert got == want, carrier
+        assert [type(v) for m in got for v in m.values] == [
+            type(v) for m in want for v in m.values
+        ]
+        assert carrier.cardinality() == len(want)
+        assert all(m in carrier for m in want)
+        shape, domain, size = carrier.shape, carrier.domain, carrier.shape.size
+        outsiders = [
+            Matrix(shape, Mod(3) if domain is Z else Z, [0] * size),
+            Matrix(Shape(shape.rows + 1, shape.cols), domain, [0] * (size + shape.cols)),
+        ]
+        if shape.cols > 1:  # a member's entries, but partitioned
+            outsiders.append(want[-1].with_partition(PartitionType(shape, (), (1,))))
+        if carrier.kind == "masks" and domain is not Mod(2):
+            outsiders.append(Matrix(shape, domain, [0] * (size - 1) + [2]))
+        assert not any(m in carrier for m in outsiders), carrier
+
+
+def test_enumeration_refusals_keep_their_messages(monkeypatch):
+    for carrier, message in (
+        (Carrier.masks(Shape(1, 13)), "masks carrier of shape 1x13 has more than 4096 elements"),
+        (
+            Carrier.all_matrices(Shape(2, 2), Mod(9)),
+            "all carrier of shape 2x2 has more than 4096 elements",
+        ),
+    ):
+        with pytest.raises(TooLarge, match=f"^{message}$"):
+            carrier.elements()
+    # a modulus past sys.maxsize is counted exactly, and refused by that count
+    huge = Carrier.all_matrices(Shape(1, 1), Mod(2**70))
+    assert huge.cardinality() == 2**70 and row([2**69], Mod(2**70)) in huge
+    with pytest.raises(TooLarge, match="^all carrier of shape 1x1 has more than 4096"):
+        huge.elements()
+
+    # 2^60000 masks: refused from the shape alone, before any count
+    def no_count(self):
+        raise AssertionError("counted")
+
+    monkeypatch.setattr(Carrier, "cardinality", no_count)
+    with pytest.raises(TooLarge, match="^masks carrier of shape 200x300 has more than 4096"):
+        Carrier.masks(Shape(200, 300)).elements()
 
 
 def test_idempotents_examples():
@@ -622,3 +697,26 @@ def test_single_read_walks_compute_each_product_once(monkeypatch):
         calls.clear()
         idempotents_in(carrier)
         assert len(calls) == n and len(set(calls)) == n
+
+
+def test_a_direct_power_is_associative_and_commutative_when_its_cell_is(monkeypatch):
+    # both questions are answered from the one-cell table: unfilled rows are never read
+    for name in ("masks:2x2", "all:1x3:Zn:3", "masks:1x3:add", "all:1x2:Zn:4:add"):
+        table = _Table.of(REFERENCE_CARRIERS[name])
+        assert table.commutativity_witness() is None
+        assert table.associativity_witness() is None
+        assert table.rows == [None] * table.n
+    calls = []
+    addition = Matrix.__add__
+
+    def counting(a, b):
+        calls.append((a, b))
+        return addition(a, b)
+
+    monkeypatch.setattr(Matrix, "__add__", counting)
+    # 1 + 1 = 2 leaves the masks: the table is computed pair by pair, and
+    # associativity adds only the one-cell sums, not the n^3 triples
+    carrier = Carrier.masks(Shape(2, 2), op=ADDITION)
+    report = analyze(carrier)
+    assert not report.closed and report.associative and report.commutative
+    assert len(calls) <= 16 * 16 + 2**3
