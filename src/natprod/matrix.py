@@ -717,8 +717,9 @@ def _json_int(value, what):
 
 
 def _json_array(value, what):
-    """`value` if it is a JSON array; a string, number, object or null is refused."""
-    if type(value) is not list:
+    """`value` if it is a JSON array (a list or tuple from Python); a string,
+    number, object or null is refused."""
+    if not isinstance(value, (list, tuple)):
         raise ParseError(f"{what} must be a JSON array, got {shorten(repr(value))}")
     return value
 

@@ -221,36 +221,33 @@ class _Table:
 
     Both operations act entrywise, and an enumerated carrier numbers its
     members by their base-k digits, first entry most significant.  So it
-    is a direct power of its one-cell carrier, whose filled k-element
-    table is `one`, and is associative or commutative when `one` is.
-    When `one` is closed, its rows are `cell`, and every row is expanded
-    from them with no matrix product, afresh on each read unless `fill`
-    has kept the whole table (n² entries).  Without `cell`, a row is
-    computed by `apply` once and kept.  `mul` memoises the products of
-    indices >= n.
+    is a direct power of its one-cell carrier: when that k-element table
+    `cell` is closed, every row is expanded from it with no matrix
+    product, afresh on each read unless `fill` has kept the whole table
+    (n² entries).  Without `cell`, a row is computed by `apply` once and
+    kept.  `mul` memoises the products of indices >= n.
     """
 
-    __slots__ = ("elements", "n", "index", "rows", "one", "cell", "_apply", "_memo")
+    __slots__ = ("elements", "n", "index", "rows", "cell", "_apply", "_memo")
 
-    def __init__(self, elements, apply, one=None):
+    def __init__(self, elements, apply, cell=None):
         self.elements = list(elements)
         self.n = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.rows = [None] * self.n
-        self.one = one
-        self.cell = one.rows if one is not None and one.closure_witness() is None else None
+        self.cell = cell
         self._apply = apply
         self._memo = {}
 
     @classmethod
     def of(cls, carrier, max_elements=DEFAULT_MAX_ELEMENTS):
-        """The table of the carrier's members, with the one-cell table over
-        the cell values of an enumerated carrier."""
-        elements, cell, one = carrier.elements(max_elements), carrier.cell, None
+        """The table of the carrier's members; an enumerated carrier's
+        one-cell table becomes `cell` when it is closed."""
+        elements, cell = carrier.elements(max_elements), carrier.cell
         if cell is not None:
-            cells = [Matrix._make(Shape(1, 1), carrier.domain, (v,)) for v in cell]
-            one = cls(cells, carrier.apply).fill()
-        return cls(elements, carrier.apply, one)
+            one = cls([Matrix._make(Shape(1, 1), carrier.domain, (v,)) for v in cell], carrier.apply)
+            cell = one.rows if one.closure_witness() is None else None
+        return cls(elements, carrier.apply, cell)
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -315,32 +312,21 @@ class _Table:
     def commutativity_witness(self):
         """The first pair a < b with a·b != b·a, or None, on the filled table.
         The first row that differs from its column differs past the diagonal."""
-        if self.one is not None and self.one.commutativity_witness() is None:
-            return None
         for a, (row, col) in enumerate(zip(self.rows, zip(*self.rows))):
             if tuple(row) != col:
                 return a, next(b for b, k in enumerate(row) if k != col[b])
         return None
 
-    def associativity_witness(self, triples=None):
-        """The first of the triples (by default all) with (a·b)·c != a·(b·c),
-        or None."""
-        if self.one is not None and self.one.associativity_witness() is None:
-            return None
-        if triples is None:
-            triples = itertools.product(range(self.n), repeat=3)
-        mul = self.mul
-        return next(
-            ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
-        )
-
     def unassociative_triples(self):
-        """The triples with (a·b)·c != a·(b·c) in order, on a filled closed
-        table: each pair (a, b) compares the whole row of c at once."""
-        rows = self.rows
-        for a, ra in enumerate(rows):
-            for b, rb in enumerate(rows):
-                left, right = rows[ra[b]], list(map(ra.__getitem__, rb))
+        """The triples with (a·b)·c != a·(b·c) in order, on a filled table:
+        each pair (a, b) compares the whole row of c at once, the rows
+        extended once by the products with those outside the members."""
+        n, outside = self.n, range(self.n, len(self.elements))
+        rows = self.rows + [[self.mul(k, c) for c in range(n)] for k in outside]
+        for a, ra in enumerate(self.rows):
+            ra = ra + [self.mul(a, k) for k in outside]
+            for b in range(n):
+                left, right = rows[ra[b]], [ra[k] for k in rows[b]]
                 if left != right:
                     yield from ((a, b, c) for c, k in enumerate(left) if k != right[c])
 
@@ -371,7 +357,6 @@ class _Table:
         inverses are searched for.
         """
         n, row = self.n, self.row
-        # fewest zero entries is largest support
         order = sorted(idempotents, key=lambda i: (self.elements[i].values.count(0), i))
         if closed:
             groups = {e: [] for e in idempotents}
@@ -413,11 +398,10 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
 
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
-    Every question reads the filled table, n² entries; an enumerated
-    carrier's associativity and commutativity are its one-cell table's.
+    Every question reads the filled table, n² entries.
     """
     table = _Table.of(carrier, ANALYZE_MAX_ELEMENTS).fill()
-    elements, rows, n, members = table.elements, table.rows, table.n, table.members
+    elements, rows, n, mul, members = table.elements, table.rows, table.n, table.mul, table.members
     idx = range(n)
 
     closure_witness = table.closure_witness()
@@ -430,8 +414,10 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         triples = (tuple(rng.choice(idx) for _ in range(3)) for _ in range(samples))
     else:
         mode = "exhaustive"
-        triples = table.unassociative_triples() if closed else None
-    associativity_witness = table.associativity_witness(triples)
+        triples = table.unassociative_triples()
+    associativity_witness = next(
+        ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
+    )
 
     every = list(idx)
     identity = next(

@@ -914,14 +914,13 @@ def run_census():
     detail = []
     for rows in (1, 2):
         for cols in (1, 2, 3, 4):
-            shape = Shape(rows, cols)
-            carrier = st.Carrier.masks(shape)
+            carrier = st.Carrier.masks((rows, cols))
             for mask_bits, x in enumerate(carrier.elements()):
                 ideal = st.ideal_generated(carrier, x)
                 expected = 1 << x.values.count(1)
                 if ideal.cardinality != expected:
                     ok = False
-                    detail.append(f"{shape} mask {mask_bits}: {ideal.cardinality} != {expected}")
+                    detail.append(f"{x.shape} mask {mask_bits}: {ideal.cardinality} != {expected}")
     results.append(
         CaseResult("ideal-order-law", ok, "; ".join(detail[:3]) or "shapes up to 2x4, exhaustive")
     )

@@ -246,6 +246,12 @@ def test_json_round_trip():
     assert matrix_from_json(obj) == m
     modular = Matrix.from_rows([[5, 11]], Mod(12))
     assert matrix_from_json(matrix_to_json(modular)) == modular
+    # a dict built in Python may give its rows as tuples; a string is never an array
+    rows = {"domain": "Q", "rows": 2, "cols": 2, "entries": (("3", "0"), ("1", "2/5"))}
+    assert matrix_from_json(rows) == m
+    for entries in ("3012/5", ("30", "12/5"), {"0": ["3", "0"]}, None):
+        with pytest.raises(ParseError, match="must be a JSON array"):
+            matrix_from_json({**rows, "entries": entries})
 
 
 def test_mask_operations():
