@@ -18,7 +18,6 @@ from __future__ import annotations
 import itertools
 import json
 import re
-from fractions import Fraction
 from operator import add, mul
 
 from .errors import (
@@ -43,6 +42,7 @@ from .matrix import (
     PartitionType,
     Shape,
     _int_matmul,
+    _json_array,
     _json_cuts,
     _json_int,
     _lift,
@@ -57,7 +57,7 @@ from .matrix import (
     usual_inverse,
     zeros,
 )
-from .scalars import Domain, Q, Scalar, Z, _parse_int, _Value, domain_from_code, kth_root
+from .scalars import Domain, Q, Scalar, Z, _parse_int, _ratio, _Value, domain_from_code, kth_root
 
 
 class MatPoly(_Value):
@@ -300,8 +300,7 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
     for deg, coeff in p._terms.items():
         k = deg + 1
         if domain.is_rational:
-            factor = Fraction(1, k)
-            terms[k] = coeff.scale(factor)
+            terms[k] = coeff.scale(_ratio(1, k))
         elif domain.is_modular:
             kk = k % domain.modulus
             if not domain.is_unit(kk):
@@ -418,7 +417,7 @@ def solve_binomial(a: Matrix, c: Matrix, k: int) -> RootSet:
     _require_entrywise_nonzero(a)
     root_vals = []
     for i, (ai, ci) in enumerate(zip(a.values, c.values)):
-        t = Fraction(ci, 1) / Fraction(ai, 1)
+        t = _ratio(ci.numerator * ai.denominator, ci.denominator * ai.numerator)
         if k % 2 == 0 and t < 0:
             return RootSet(reason=f"NoRationalRoot: component {i} needs an even root of {Q.render(t)}")
         r = kth_root(Scalar(Q, t), k)
@@ -549,7 +548,10 @@ def poly_from_json(obj) -> MatPoly:
         shape = Shape(*(_json_int(obj["shape"][k], f"shape.{k}") for k in ("rows", "cols")))
         domain = domain_from_code(obj["domain"])
         ptype = PartitionType(shape, *_json_cuts(obj))
-        terms = [(_json_int(t["deg"], "deg"), matrix_from_json(t["coeff"])) for t in obj["terms"]]
+        terms = [
+            (_json_int(t["deg"], "deg"), matrix_from_json(t["coeff"]))
+            for t in _json_array(obj["terms"], "terms")
+        ]
         return MatPoly(shape, domain, _sum_by_degree(terms), ptype)
     except JSON_INPUT_ERRORS as exc:
         raise ParseError(f"malformed polynomial JSON: {exc!r}") from None

@@ -7,17 +7,19 @@ partition ("super" matrix): row and column cut lines that split it into
 blocks.  Dropping the partition is a homomorphism, so the partition is
 just one more field that `+`, `-` and `*` demand to agree and carry over.
 
-The usual product and the usual inverse run on integers: `_lift` turns
-each row or column into integer numerators over that line's least common
-denominator, the integer kernels work on those, and `_lower` reduces the
-result once per entry.
+Every Q/Q+ result is built once per entry from its integer numerator and
+denominator by `scalars._ratio`; no operator between two Fractions runs on
+a per-entry path.  `+`, `-`, `*` and `scale` form those integers entry by
+entry.  The usual product and the usual inverse run on integers: `_lift`
+turns each row or column into integer numerators over that line's least
+common denominator, the integer kernels work on those, and `_lower`
+reduces the result once per entry.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from fractions import Fraction
 from itertools import repeat
 from math import lcm
 from operator import mul
@@ -35,7 +37,7 @@ from .errors import (
     ZeroDivisorEntry,
     shorten,
 )
-from .scalars import Domain, Q, Scalar, Z, _Value, domain_from_code, render_values
+from .scalars import Domain, Q, Scalar, Z, _ratio, _Value, domain_from_code, render_values
 
 
 class Shape(NamedTuple):
@@ -207,7 +209,15 @@ class Matrix(_Value):
 
     def __add__(self, other):
         self._check_peer(other)
-        if self.domain.is_modular:
+        if self.domain.is_rational:
+            values = tuple(
+                _ratio(
+                    a._numerator * b._denominator + b._numerator * a._denominator,
+                    a._denominator * b._denominator,
+                )
+                for a, b in zip(self.values, other.values)
+            )
+        elif self.domain.is_modular:
             n = self.domain.modulus
             values = tuple((a + b) % n for a, b in zip(self.values, other.values))
         else:
@@ -222,18 +232,33 @@ class Matrix(_Value):
 
     def __sub__(self, other):
         self._check_peer(other)
-        sub = self.domain.sub
-        return Matrix._make(
-            self.shape,
-            self.domain,
-            tuple(sub(a, b) for a, b in zip(self.values, other.values)),
-            self.partition,
-        )
+        domain = self.domain
+        if domain.is_rational:
+            values = tuple(
+                _ratio(
+                    a._numerator * b._denominator - b._numerator * a._denominator,
+                    a._denominator * b._denominator,
+                )
+                for a, b in zip(self.values, other.values)
+            )
+            if domain.is_cone:
+                for a, b, v in zip(self.values, other.values, values):
+                    if v._numerator < 0:
+                        domain.sub(a, b)  # raises the cone's ConeViolation for a - b
+        else:
+            sub = domain.sub
+            values = tuple(sub(a, b) for a, b in zip(self.values, other.values))
+        return Matrix._make(self.shape, domain, values, self.partition)
 
     def __mul__(self, other):
         """Natural product: entrywise multiplication."""
         self._check_peer(other)
-        if self.domain.is_modular:
+        if self.domain.is_rational:
+            values = tuple(
+                _ratio(a._numerator * b._numerator, a._denominator * b._denominator)
+                for a, b in zip(self.values, other.values)
+            )
+        elif self.domain.is_modular:
             n = self.domain.modulus
             values = tuple((a * b) % n for a, b in zip(self.values, other.values))
         else:
@@ -275,10 +300,13 @@ class Matrix(_Value):
     def scale(self, c):
         """Multiply every entry by the scalar c (same domain)."""
         c = self.domain.coerce(c)
-        mul = self.domain.mul
-        return Matrix._make(
-            self.shape, self.domain, tuple(mul(c, v) for v in self.values), self.partition
-        )
+        if self.domain.is_rational:
+            n, d = c._numerator, c._denominator
+            values = tuple(_ratio(n * v._numerator, d * v._denominator) for v in self.values)
+        else:
+            mul = self.domain.mul
+            values = tuple(mul(c, v) for v in self.values)
+        return Matrix._make(self.shape, self.domain, values, self.partition)
 
 
 # Matrix refuses __setattr__; its slot descriptors are the cheapest way in.
@@ -342,13 +370,13 @@ def _int_matmul(rows, cols):
 def _lower(shape, domain, ints, dens):
     """The plain matrix of `domain` whose entries are ints[i] / dens[i].
 
-    Every den is 1 unless the domain is Q or Q+.
+    Every den is 1 unless the domain is Q or Q+; a den may be negative.
     """
     if domain.is_modular:
         n = domain.modulus
         values = tuple(v % n for v in ints)
     elif domain.is_rational:
-        values = tuple(map(Fraction, ints, dens))
+        values = tuple(map(_ratio, ints, dens))
     else:
         values = tuple(ints)
     return Matrix._make(shape, domain, values)

@@ -36,6 +36,28 @@ _KINDS = (INT_KIND, RAT_KIND, MOD_KIND, NONNEG_INT_KIND, NONNEG_RAT_KIND)
 # whitespace and digits exactly what str.strip() and int() do.
 _SCALAR_RE = re.compile(r"\s*([+-]?\d+)(?:/(\d+))?\s*")
 
+# Fraction's constructor checks and converts its arguments; its slot
+# descriptors set an already reduced value directly.
+_new = object.__new__
+_set_numerator, _set_denominator = (
+    Fraction.__dict__[name].__set__ for name in ("_numerator", "_denominator")
+)
+
+
+def _ratio(n, d):
+    """The Fraction n/d for ints n and d != 0: equal, in every respect, to
+    Fraction(n, d) -- lowest terms, the sign on the numerator."""
+    g = gcd(n, d)
+    if d < 0:
+        g = -g
+    if g != 1:
+        n //= g
+        d //= g
+    value = _new(Fraction)
+    _set_numerator(value, n)
+    _set_denominator(value, d)
+    return value
+
 
 class _Value:
     """Base of the value classes: a value's fields are its class's
@@ -121,8 +143,8 @@ class Domain(_Value):
             kind in (NONNEG_INT_KIND, NONNEG_RAT_KIND),
             modular,
             rational,
-            Fraction(0) if rational else 0,
-            Fraction(1) if rational else 1,
+            _ratio(0, 1) if rational else 0,
+            _ratio(1, 1) if rational else 1,
             # ints only: hashes of str and None differ from process to process
             hash((_KINDS.index(kind), modulus or 0)),
         )
@@ -158,11 +180,11 @@ class Domain(_Value):
         # a Fraction is kept as it is: Fractions are immutable and reduced
         if self.kind == RAT_KIND:
             if isinstance(value, (int, Fraction)):
-                return value if type(value) is Fraction else Fraction(value)
+                return value if type(value) is Fraction else _ratio(value, 1)
         elif self.kind == NONNEG_RAT_KIND:
             if isinstance(value, (int, Fraction)):
                 if type(value) is not Fraction:
-                    value = Fraction(value)
+                    value = _ratio(value, 1)
                 if value.numerator < 0:
                     raise ConeViolation(f"{value} is negative in {self.code}")
                 return value
@@ -221,7 +243,7 @@ class Domain(_Value):
             # a is reduced, so its inverse is den/num; the sign is num's
             num, den = a.as_integer_ratio()
             if num > 0 or num and not self.is_cone:
-                return Fraction(den, num)
+                return _ratio(den, num)
         elif self.is_unit(a):
             # over Z and Z+ the units 1 and -1 are their own inverses
             return pow(a, -1, self.modulus) if self.is_modular else a
@@ -246,13 +268,13 @@ class Domain(_Value):
             if not den:
                 raise ParseError(f"zero denominator in {shorten(text.strip())!r}")
             if self.is_rational:
-                value = Fraction(num, den)
+                value = _ratio(num, den)
             else:
                 value, rest = divmod(num, den)
                 if rest:
                     raise ParseError(f"{shorten(text.strip())} is not an integer in {self.code}")
         elif self.is_rational:
-            value = Fraction(num)
+            value = _ratio(num, 1)
         if self.is_modular:
             return value % self.modulus
         if self.is_cone and num < 0:
@@ -405,19 +427,15 @@ def kth_root(a: Scalar, k: int):
         raise ValueError("k must be a positive integer")
     if a.domain.is_modular:
         raise UnsupportedDomain(f"no canonical k-th root in {a.domain.code}")
-    value = Fraction(a.value)
-    negative = value < 0
+    num, den = a.value.numerator, a.value.denominator
+    negative = num < 0
     if negative and k % 2 == 0:
         return None
-    if negative:
-        value = -value
-    num = _int_root(value.numerator, k)
-    den = _int_root(value.denominator, k)
+    num = _int_root(abs(num), k)
+    den = _int_root(den, k)
     if num is None or den is None:
         return None
-    root = Fraction(num, den)
-    if negative:
-        root = -root
+    root = _ratio(-num if negative else num, den)
     try:
         return Scalar(a.domain, root)
     except (ConeViolation, ValueError):

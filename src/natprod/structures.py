@@ -284,7 +284,8 @@ class _Table:
         # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
         rows, size = [[0]], 1
         while size < self.n:
-            rows = [[c * size + x for c in hi for x in lo] for hi in cell for lo in rows]
+            scaled = [[c * size for c in hi] for hi in cell]
+            rows = [[c + x for c in hi for x in lo] for hi in scaled for lo in rows]
             size *= len(cell)
         self.rows = rows
         return self

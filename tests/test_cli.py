@@ -275,6 +275,16 @@ def test_matrix_json_refuses_non_arrays_and_non_text(name):
         assert "malformed" not in report.diagnostics
 
 
+@pytest.mark.parametrize("terms", ['"ab"', '{"deg": 1}', "null"], ids=["string", "object", "null"])
+def test_poly_json_refuses_non_array_terms(terms):
+    # a string's characters would be indexed as terms; an object's keys too
+    poly = '{"shape":{"rows":1,"cols":1},"domain":"Q","terms":' + terms + "}"
+    report = run("poly", "diff", poly)
+    assert (report.exit_code, report.payload) == (2, "")
+    assert f"ParseError: terms must be a JSON array, got {json.loads(terms)!r}" in report.diagnostics
+    assert "malformed" not in report.diagnostics
+
+
 def test_byte_identical_reruns():
     args = ("verify", "laws", "--samples", "50", "--seed", "7")
     first = run(*args)

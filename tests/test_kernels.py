@@ -1,9 +1,11 @@
 """The integer kernels of `@`, `usual_inverse` and the MatPoly convolutions,
-and the per-entry paths of parse, render and `natural_inverse`, against the
-plain Fraction/int code they replaced (kept here, test-only, as `_ref_*`).
+the Q/Q+ entrywise kernels of `+`, `-`, `*` and `scale`, and the per-entry
+paths of parse, JSON, render and `natural_inverse`, against the plain
+Fraction/int code they replaced (kept here, test-only, as `_ref_*`).
 Results must agree exactly, value types included; so must the type and
 message of every exception."""
 
+import operator
 import re
 from fractions import Fraction
 
@@ -12,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natprod import (
+    ConeViolation,
     MatPoly,
     Matrix,
     Mod,
@@ -37,12 +40,17 @@ from natprod import (
     zeros,
 )
 from natprod.errors import shorten
-from natprod.matrix import _lift, usual_inverse
+from natprod.scalars import domain_from_code
+from natprod.matrix import _lift, _lower, usual_inverse
 from natprod.scalars import _parse_int, _past_digit_limit
 
 DOMAINS = [Z, Q, Z_PLUS, Q_PLUS, Mod(7), Mod(12)]
 PRIMES = [10007, 1000003, 2**31 - 1, 2**61 - 1]
 DENOMINATORS = [1, 2, 3, 7, *PRIMES]
+RATIONAL = [Q, Q_PLUS]
+BOUND = 10**7
+# pairwise coprime, the largest the greatest prime below BOUND
+COPRIME = [2, 3, 7, 10007, 1000003, 9999991]
 
 
 # -- references ------------------------------------------------------------
@@ -164,6 +172,31 @@ def _ref_natural_inverse(a):
     return Matrix(a.shape, domain, values).with_partition(a.partition)
 
 
+def _ref_entrywise(op, a, b):
+    """`op` (+, - or *) on each pair of entries, one Fraction operation
+    each; in a cone the first difference below 0 raises."""
+    domain, values = a.domain, []
+    for x, y in zip(a.values, b.values):
+        v = op(x, y)
+        if domain.is_cone and v < 0:
+            raise ConeViolation(f"{x} - {y} leaves the cone {domain.code}")
+        values.append(v)
+    return Matrix(a.shape, domain, values).with_partition(a.partition)
+
+
+def _ref_scale(a, c):
+    """c * v for every entry v, one Fraction product each."""
+    c = a.domain.coerce(c)
+    return Matrix(a.shape, a.domain, [c * v for v in a.values]).with_partition(a.partition)
+
+
+def _ref_matrix_from_json(obj):
+    """The matrix of a JSON object, one `_ref_parse` per entry."""
+    domain = domain_from_code(obj["domain"])
+    rows = [[_ref_parse(domain, v) for v in row] for row in obj["entries"]]
+    return Matrix.from_rows(rows, domain, obj.get("row_cuts", ()), obj.get("col_cuts", ()))
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -184,7 +217,7 @@ def _assert_same(got, want):
 def _outcome(fn, *args):
     try:
         return fn(*args)
-    except (NotInvertible, SingularLead) as exc:
+    except (NotInvertible, SingularLead, ConeViolation, ParseError) as exc:
         return (type(exc).__name__, str(exc))
 
 
@@ -536,3 +569,125 @@ def test_inv_refuses_what_is_not_a_unit(domain, value):
     with pytest.raises(NotAUnit) as info:
         domain.inv(value)
     assert str(info.value) == f"{value} is not a unit in {domain.code}"
+
+
+# -- Q and Q+ entrywise kernels, parse and JSON -------------------------------
+
+
+def _rationals(domain):
+    """0, and n/d with |n| <= BOUND (n >= 0 in a cone) and 1 <= d <= BOUND,
+    d often one of COPRIME."""
+    lo = 0 if domain.is_cone else -BOUND
+    den = st.one_of(st.sampled_from(COPRIME), st.integers(1, BOUND))
+    return st.one_of(st.just(Fraction(0)), st.builds(Fraction, st.integers(lo, BOUND), den))
+
+
+@st.composite
+def _partitions(draw, shape):
+    """A partition of `shape`, cut-free about one time in four."""
+    row_cuts = draw(st.sets(st.integers(1, shape.rows - 1), max_size=2)) if shape.rows > 1 else ()
+    col_cuts = draw(st.sets(st.integers(1, shape.cols - 1), max_size=2)) if shape.cols > 1 else ()
+    return PartitionType(shape, row_cuts, col_cuts)
+
+
+@st.composite
+def _rational_pairs(draw, domain):
+    """Two matrices of `domain` with one shape and one partition."""
+    shape = Shape(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
+    entries = st.lists(_rationals(domain), min_size=shape.size, max_size=shape.size)
+    ptype = draw(_partitions(shape))
+    return tuple(Matrix(shape, domain, draw(entries)).with_partition(ptype) for _ in range(2))
+
+
+_ENTRYWISE = [operator.add, operator.sub, operator.mul]
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(RATIONAL), st.data())
+def test_rational_entrywise_kernels_match_reference(domain, data):
+    a, b = data.draw(_rational_pairs(domain))
+    # entrywise at most a: a difference that stays in the cone
+    low = Matrix(a.shape, domain, list(map(min, a.values, b.values))).with_partition(a.partition)
+    for x, y in [(a, b), (b, a), (a, low), (a, a)]:
+        for op in _ENTRYWISE:
+            _assert_same_outcome(_outcome(op, x, y), _outcome(_ref_entrywise, op, x, y))
+    _assert_same(a - low, _ref_entrywise(operator.sub, a, low))
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(RATIONAL), st.data())
+def test_rational_scale_and_natural_inverse_match_reference(domain, data):
+    a, _ = data.draw(_rational_pairs(domain))
+    c = data.draw(st.one_of(_rationals(Q), st.integers(-BOUND, BOUND)))
+    _assert_same_outcome(_outcome(a.scale, c), _outcome(_ref_scale, a, c))
+    _assert_same_outcome(_outcome(natural_inverse, a), _outcome(_ref_natural_inverse, a))
+
+
+def test_rational_kernels_on_a_partitioned_operand():
+    a = parse_literal("[1/2 | -3/10007 ; -- ; 0 | 9999991/6]", Q)
+    b = parse_literal("[-2/3 | 5/1000003 ; -- ; 7 | 1/9999991]", Q)
+    for op in _ENTRYWISE:
+        got = op(a, b)
+        _assert_same(got, _ref_entrywise(op, a, b))
+        assert got.partition == a.partition
+    _assert_same(a.scale("-6/7"), _ref_scale(a, Fraction(-6, 7)))
+    _assert_same(natural_inverse(b), _ref_natural_inverse(b))
+    assert render_matrix(a * b) == "[-1/3 | -15/10007030021;--;0 | 1/6]"
+
+
+def test_cone_difference_refuses_at_the_first_entry_below_zero():
+    a = parse_literal("[1/2 | 1 ; -- ; 3 | 1/7]", Q_PLUS)
+    b = parse_literal("[1/3 | 2 ; -- ; 3 | 1/5]", Q_PLUS)
+    with pytest.raises(ConeViolation) as got:
+        a - b
+    with pytest.raises(ConeViolation) as want:
+        Q_PLUS.sub(a.values[1], b.values[1])
+    assert str(got.value) == str(want.value) == "1 - 2 leaves the cone Q+"
+    assert _outcome(_ref_entrywise, operator.sub, a, b) == ("ConeViolation", str(want.value))
+
+
+@st.composite
+def _rational_tokens(draw):
+    """`n/d` or `n` as text: any sign, not reduced, d sometimes 0."""
+    n = draw(st.integers(-BOUND, BOUND))
+    d = draw(st.one_of(st.none(), st.just(0), st.sampled_from(COPRIME), st.integers(1, BOUND)))
+    return str(n) if d is None else f"{n}/{d}"
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(RATIONAL), st.data())
+def test_rational_parse_and_json_match_reference(domain, data):
+    shape = Shape(data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4)))
+    tokens = data.draw(st.lists(_rational_tokens(), min_size=shape.size, max_size=shape.size))
+    for token in tokens:
+        assert _typed_outcome(domain.parse, token) == _typed_outcome(_ref_parse, domain, token)
+    ptype = data.draw(_partitions(shape))
+    obj = {
+        "domain": domain.code,
+        "rows": shape.rows,
+        "cols": shape.cols,
+        "entries": [tokens[i : i + shape.cols] for i in range(0, shape.size, shape.cols)],
+        "row_cuts": list(ptype.row_cuts),
+        "col_cuts": list(ptype.col_cuts),
+    }
+    _assert_same_outcome(_outcome(matrix_from_json, obj), _outcome(_ref_matrix_from_json, obj))
+
+
+@settings(max_examples=200)
+@given(st.data())
+def test_lower_takes_negative_denominators(data):
+    size = data.draw(st.integers(1, 6))
+    ints = data.draw(st.lists(st.integers(-BOUND, BOUND), min_size=size, max_size=size))
+    nonzero = st.integers(-BOUND, BOUND).filter(bool)
+    dens = data.draw(st.lists(nonzero, min_size=size, max_size=size))
+    want = Matrix(Shape(1, size), Q, list(map(Fraction, ints, dens)))
+    _assert_same(_lower(Shape(1, size), Q, ints, dens), want)
+
+
+def test_lower_moves_the_sign_of_a_negative_pivot():
+    # usual_inverse divides by its last pivot, which may be negative
+    lowered = _lower(Shape(2, 2), Q, [1, -2, 0, 6], [-1, -4, -5, -6])
+    _assert_same(lowered, _mat([[-1, Fraction(1, 2)], [0, -1]]))
+    assert [v.denominator for v in lowered.values] == [1, 2, 1, 1]
+    a = _mat([[0, 1], [1, 0]])  # one row swap: the last pivot is -1
+    _assert_same(usual_inverse(a), _ref_usual_inverse(a))

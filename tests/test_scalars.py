@@ -1,4 +1,6 @@
+import copy
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -28,6 +30,7 @@ from natprod import (
     is_unit,
     kth_root,
 )
+from natprod.scalars import _ratio
 
 
 def test_add_examples():
@@ -246,3 +249,38 @@ def test_racing_threads_share_one_domain():
     assert not any(t.is_alive() for t in threads)
     for n, domains in zip(moduli, zip(*built)):
         assert all(d is Mod(n) for d in domains)
+
+
+_BIG = 2**64 + 13
+_RATIOS = [
+    (0, 1), (0, -7), (0, _BIG), (5, 1), (-5, 1), (6, 4), (-6, 4), (6, -4), (-6, -4),
+    (1, -1), (3, 9999991), (-9999991 * 7, 9999991), (_BIG, 3), (3, -_BIG), (-_BIG, _BIG * 6),
+    (2**200, 2**190 * 5), (-(3**90), 3**41 * -2),
+]
+
+
+def _same_fraction(got, want):
+    """`got` behaves as `want` in every way a caller can see."""
+    assert type(got) is type(want) is Fraction
+    assert got == want and not got != want
+    assert hash(got) == hash(want)
+    assert str(got) == str(want) and repr(got) == repr(want)
+    assert got.as_integer_ratio() == want.as_integer_ratio()
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    if want.denominator == 1:
+        assert got == want.numerator and hash(got) == hash(want.numerator)
+
+
+@pytest.mark.parametrize("n, d", _RATIOS)
+def test_ratio_is_fraction(n, d):
+    want = Fraction(n, d)
+    got = _ratio(n, d)
+    _same_fraction(got, want)
+    for round_trip in (copy.copy, copy.deepcopy, lambda v: pickle.loads(pickle.dumps(v))):
+        _same_fraction(round_trip(got), want)
+    _same_fraction(got * 1, want)  # Fraction's own operators read the slots
+
+
+@given(st.integers(-(2**70), 2**70), st.integers(-(2**70), 2**70).filter(bool))
+def test_ratio_matches_fraction(n, d):
+    _same_fraction(_ratio(n, d), Fraction(n, d))
