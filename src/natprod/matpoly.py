@@ -15,9 +15,9 @@ coefficientwise.
 
 from __future__ import annotations
 
-import itertools
 import json
 import re
+from itertools import chain
 from operator import add, mul
 
 from .errors import (
@@ -41,6 +41,7 @@ from .matrix import (
     Matrix,
     PartitionType,
     Shape,
+    _field_size,
     _int_matmul,
     _json_array,
     _json_cuts,
@@ -48,6 +49,7 @@ from .matrix import (
     _lift,
     _location,
     _lower,
+    _pack,
     _parse_span,
     matrix_from_json,
     matrix_to_json,
@@ -176,7 +178,7 @@ class MatPoly(_Value):
 
     def __add__(self, other):
         self._check_peer(other)
-        terms = _sum_by_degree(itertools.chain(self._terms.items(), other._terms.items()))
+        terms = _sum_by_degree(chain(self._terms.items(), other._terms.items()))
         return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __neg__(self):
@@ -193,11 +195,15 @@ class MatPoly(_Value):
         a, da = _lift_entries(self)
         b, db = _lift_entries(other)
         dens = list(map(mul, da, db))
-        terms = _convolve(self, a, b, lambda x, y: list(map(mul, x, y)), dens)
-        return MatPoly(self.shape, self.domain, terms, self.ptype)
+        return MatPoly(self.shape, self.domain, _convolve(self, a, b, dens), self.ptype)
 
     def __matmul__(self, other):
-        """Convolution with the usual matrix product; square, unpartitioned."""
+        """Convolution with the usual matrix product; square, unpartitioned.
+
+        Output degree d is one product [a_i | a_i' | ...] @ [b_j ; b_j' ; ...]
+        over its pairs i + j = d, so each is lowered once and, past the
+        shape threshold of `matrix`, each degree of `other` is packed once.
+        """
         self._check_peer(other)
         if self.shape.rows != self.shape.cols:
             raise NotSquare("usual product needs square coefficients")
@@ -207,8 +213,24 @@ class MatPoly(_Value):
         a, rd = _lift_lines(self, lambda values, i: values[i * n : (i + 1) * n])
         b, cd = _lift_lines(other, lambda values, j: values[j::n])
         dens = [r * c for r in rd for c in cd]
-        terms = _convolve(self, a, b, _int_matmul, dens)
-        return MatPoly(self.shape, self.domain, terms, self.ptype)
+        pairs = {}
+        for i in a:
+            for j in b:
+                pairs.setdefault(i + j, []).append((i, j))
+        inner = n * max(map(len, pairs.values()), default=0)  # of the longest degree
+        left = [row for rows in a.values() for row in rows]
+        size = _field_size(left, [col for cols in b.values() for col in cols], n, inner)
+        if size:
+            b = {j: _pack(cols, size) for j, cols in b.items()}
+        out = {}
+        for d, ps in pairs.items():
+            rows = [list(chain.from_iterable(a[i][t] for i, _ in ps)) for t in range(n)]
+            if size:
+                right = list(chain.from_iterable(b[j] for _, j in ps))
+            else:
+                right = [list(chain.from_iterable(b[j][t] for _, j in ps)) for t in range(n)]
+            out[d] = _lower(self.shape, self.domain, _int_matmul(rows, right, n, size), dens)
+        return MatPoly(self.shape, self.domain, out, self.ptype)
 
 
 def _lift_entries(p):
@@ -232,16 +254,14 @@ def _lift_lines(p, line):
     return cut, dens
 
 
-def _convolve(p, a, b, kernel, dens):
-    """{degree: coefficient} of the convolution of two lifted polynomials.
-
-    `kernel` multiplies a lifted coefficient of `a` by one of `b`; every
-    output coefficient is lowered once, over `dens`, in p's shape and domain.
-    """
+def _convolve(p, a, b, dens):
+    """{degree: coefficient} of the natural-product convolution of two
+    polynomials lifted entry by entry; every output coefficient is lowered
+    once, over `dens`, in p's shape and domain."""
     sums = {}
     for i, x in a.items():
         for j, y in b.items():
-            product = kernel(x, y)
+            product = list(map(mul, x, y))
             acc = sums.get(i + j)
             sums[i + j] = product if acc is None else list(map(add, acc, product))
     return {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items()}

@@ -13,14 +13,17 @@ a per-entry path.  `+`, `-`, `*` and `scale` form those integers entry by
 entry.  The usual product and the usual inverse run on integers: `_lift`
 turns each row or column into integer numerators over that line's least
 common denominator, the integer kernels work on those, and `_lower`
-reduces the result once per entry.
+reduces the result once per entry.  Past a shape threshold the kernels pack
+each row of the right factor into one int (Kronecker substitution), so one
+big-int multiply serves a whole output row; see "integer kernels" below.
 """
 
 from __future__ import annotations
 
 import json
 import re
-from itertools import repeat
+import struct
+from itertools import chain, repeat
 from math import lcm
 from operator import mul
 from typing import NamedTuple
@@ -278,7 +281,9 @@ class Matrix(_Value):
         rows, rd = _lift(self.values[i * k : (i + 1) * k] for i in range(n))
         cols, cd = _lift(other.values[j::m] for j in range(m))
         dens = [r * c for r in rd for c in cd]
-        return _lower(Shape(n, m), self.domain, _int_matmul(rows, cols), dens)
+        size = _field_size(rows, cols, m, k)
+        right = _pack(cols, size) if size else cols
+        return _lower(Shape(n, m), self.domain, _int_matmul(rows, right, m, size), dens)
 
     def npow(self, k):
         """k-th power under the natural product (k >= 0)."""
@@ -346,6 +351,34 @@ def _from_rows(rows, domain, row_cuts, col_cuts, coerce=None):
 # entry's, which grows without bound when denominators are coprime.  Z, Z+
 # and Z_n values are ints already, so their denominators are 1 and the same
 # kernels serve every domain.
+#
+# Kronecker substitution (Kronecker 1882; Harvey, J. Symb. Comput. 2009):
+# `_pack` turns each row of the right factor into one int, entry j in a
+# signed field of `size` bytes at bit 8 * size * j, so row i of the product
+# is sum(map(mul, row_i, packed)) and CPython's C big-int multiply runs the
+# inner loop.  Each field of that sum adds `terms` products a * b, so
+# |field| <= terms * max|a| * max|b| < 2^(8 * size - 1) by the choice of
+# size: no field reaches its neighbour.  A negative field borrows from the
+# one above, so `_unpack` adds 2^(8 * size - 1) to every field first; then
+# each is unsigned, and int.to_bytes and struct split them exactly.
+#
+# Packing pays once per right row and splitting once per output entry, so
+# it wins only with enough left rows and enough fields.  Kernel time packed
+# / plain, Z entries in -9..9, 32 terms, Python 3.11:
+#
+#   rows \ fields   4     6     8    12    16    32    64
+#        4        2.0   1.6   1.2   1.0   0.8   0.7   0.6
+#        8        1.4   1.1   0.9   0.6   0.5   0.4   0.3
+#       16        1.0   0.8   0.6   0.4   0.4   0.3   0.2
+#       64        0.7   0.6   0.5   0.3   0.3   0.2   0.1
+#
+# Sums of 8 or 64 terms read alike, so a product packs when its left rows
+# and its fields both reach _PACK_MIN.  A field wider than 8 bytes doubles
+# the limbs the packed multiply walks (8x128 @ 128x8 over Q, denominators
+# up to 10^7: plain 50 ms, packed 140 ms), so such a product stays plain.
+_PACK_MIN = 8
+# the signed little-endian struct formats by byte size
+_FIELD_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
 
 def _lift(lines):
@@ -362,9 +395,58 @@ def _lift(lines):
     return ints, dens
 
 
-def _int_matmul(rows, cols):
-    """Row-major product of int rows and int columns: every row . column."""
-    return [sum(map(mul, row, col)) for row in rows for col in cols]
+def _field_size(left, right, fields, terms):
+    """Bytes per field for packing a product with `fields` columns whose
+    entries each add `terms` products of a `left` by a `right` int (both
+    lists of int lines, the packed int reused by every left line); 0, for
+    the plain kernel, when the left lines or the fields are fewer than
+    _PACK_MIN or a field would need more than 8 bytes."""
+    if min(len(left), fields) < _PACK_MIN:
+        return 0
+    # at least one left factor of 1 bounds every right entry, which _pack stores
+    bound = terms * max(1, *(max(map(abs, line)) for line in left))
+    bound *= max((max(map(abs, line)) for line in right), default=0)
+    # the least size with bound < 2^(8 * size - 1), rounded up to a format
+    bits = bound.bit_length() + 1
+    return next((size for size in _FIELD_FORMATS if 8 * size >= bits), 0)
+
+
+def _bias(fields, size):
+    """2^(8 * size - 1) in each of `fields` fields of `size` bytes."""
+    return int.from_bytes((1 << 8 * size - 1).to_bytes(size, "little") * fields, "little")
+
+
+def _pack(cols, size):
+    """The rows of the int matrix with columns `cols`, each one int whose
+    signed field j of `size` bytes holds entry j."""
+    values = list(chain.from_iterable(zip(*cols)))
+    data = struct.pack(f"<{len(values)}{_FIELD_FORMATS[size]}", *values)
+    # two's complement fields read as one unsigned int: flipping each top bit
+    # turns field v into v + 2^(8 * size - 1), from which the bias subtracts
+    step, bias = size * len(cols), _bias(len(cols), size)
+    return [
+        (int.from_bytes(data[i : i + step], "little") ^ bias) - bias
+        for i in range(0, len(data), step)
+    ]
+
+
+def _unpack(sums, fields, size):
+    """The signed fields of `size` bytes of every packed row sum in `sums`,
+    row-major; each field must lie in [-2^(8 * size - 1), 2^(8 * size - 1))."""
+    bias = _bias(fields, size)
+    # with the bias every field is a digit in [0, 2^(8 * size)), so the bytes
+    # of the sum are the fields' own; flipping each top bit back leaves the
+    # field in two's complement
+    data = b"".join([((s + bias) ^ bias).to_bytes(size * fields, "little") for s in sums])
+    return struct.unpack(f"<{len(sums) * fields}{_FIELD_FORMATS[size]}", data)
+
+
+def _int_matmul(rows, right, fields, size):
+    """Row-major product of int rows and the right factor: its columns when
+    `size` is 0, else its rows packed by _pack(columns, size)."""
+    if size:
+        return _unpack([sum(map(mul, row, right)) for row in rows], fields, size)
+    return [sum(map(mul, row, col)) for row in rows for col in right]
 
 
 def _lower(shape, domain, ints, dens):

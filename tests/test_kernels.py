@@ -1,7 +1,8 @@
-"""The integer kernels of `@`, `usual_inverse` and the MatPoly convolutions,
-the Q/Q+ entrywise kernels of `+`, `-`, `*` and `scale`, and the per-entry
-paths of parse, JSON, render and `natural_inverse`, against the plain
-Fraction/int code they replaced (kept here, test-only, as `_ref_*`).
+"""The integer kernels of `@` (plain and packed), `usual_inverse` and the
+MatPoly convolutions, the Q/Q+ entrywise kernels of `+`, `-`, `*` and
+`scale`, and the per-entry paths of parse, JSON, render and
+`natural_inverse`, against the plain Fraction/int code they replaced (kept
+here, test-only, as `_ref_*`).
 Results must agree exactly, value types included; so must the type and
 message of every exception."""
 
@@ -41,7 +42,7 @@ from natprod import (
 )
 from natprod.errors import shorten
 from natprod.scalars import domain_from_code
-from natprod.matrix import _lift, _lower, usual_inverse
+from natprod.matrix import _PACK_MIN, _field_size, _lift, _lower, _pack, _unpack, usual_inverse
 from natprod.scalars import _parse_int, _past_digit_limit
 
 DOMAINS = [Z, Q, Z_PLUS, Q_PLUS, Mod(7), Mod(12)]
@@ -278,15 +279,22 @@ def _mat(rows, domain=Q):
 @settings(max_examples=300)
 @given(st.data())
 def test_matmul_matches_reference(data):
+    # rows and columns up to 12 reach both sides of the packing threshold
     domain = data.draw(st.sampled_from(DOMAINS))
-    n, k, m = (data.draw(st.integers(1, 5)) for _ in range(3))
+    n, m = (data.draw(st.integers(1, 12)) for _ in range(2))
+    k = data.draw(st.integers(1, 6))
     a = data.draw(matrices(domain, n, k))
     b = data.draw(matrices(domain, k, m))
     _assert_same(a @ b, _ref_matmul(a, b))
 
 
 @pytest.mark.parametrize("domain", DOMAINS + [Mod(2), Mod(97)], ids=lambda d: d.code)
-@pytest.mark.parametrize("n,k,m", [(1, 4, 1), (4, 1, 4), (1, 1, 1), (1, 3, 5), (5, 3, 1)])
+@pytest.mark.parametrize(
+    "n,k,m",
+    # the last four straddle the packing threshold
+    [(1, 4, 1), (4, 1, 4), (1, 1, 1), (1, 3, 5), (5, 3, 1)]
+    + [(7, 3, 8), (8, 3, 7), (8, 1, 8), (9, 4, 12)],
+)
 def test_matmul_rows_columns_and_zeros(domain, n, k, m):
     top = domain.modulus - 1 if domain.is_modular else 9
     a = Matrix(Shape(n, k), domain, [(3 * i + 1) % (top + 1) for i in range(n * k)])
@@ -333,6 +341,73 @@ def test_kernels_with_a_prime_per_row_and_column():
     _assert_same(p * q, _ref_nmul(p, q))
     _assert_same(p @ q, _ref_umul(p, q))
     _assert_same(q @ p, _ref_umul(q, p))
+
+
+def test_packing_depends_on_the_shape_only():
+    for rows in range(1, 12):
+        for fields in range(1, 12):
+            for entry in (0, 1, -(2**20)):
+                size = _field_size([[entry] * 3] * rows, [[entry] * 3] * fields, fields, 3)
+                assert bool(size) == (min(rows, fields) >= _PACK_MIN)
+
+
+# -- packed kernel: field widths -------------------------------------------------
+
+
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_pack_round_trip_at_each_field_width(size):
+    half = 1 << 8 * size - 1
+    values = [half - 1, -(half - 1), 0, -half, 1, -1]
+    for line in (values, [half - 1], [-half], [0]):  # six fields, then a single one
+        cols = [[v, w] for v, w in zip(line, reversed(line))]  # two right rows
+        packed = _pack(cols, size)
+        assert packed == [sum(v << 8 * size * j for j, v in enumerate(row)) for row in zip(*cols)]
+        assert list(_unpack(packed[:1], len(line), size)) == line
+        assert list(_unpack(packed, len(line), size)) == line + line[::-1]
+
+
+def _packed_size(a, b):
+    """The field size `a @ b` packs with; 0 when it takes the plain kernel."""
+    n, k, m = a.shape.rows, a.shape.cols, b.shape.cols
+    rows, _ = _lift(a.values[i * k : (i + 1) * k] for i in range(n))
+    cols, _ = _lift(b.values[j::m] for j in range(m))
+    return _field_size(rows, cols, m, k)
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["negative", "positive"])
+@pytest.mark.parametrize("size", [1, 2, 4, 8])
+def test_field_width_holds_the_extreme_sums(size, sign):
+    """Every entry of `a` is -M and every entry of `b` is sign * M, so every
+    field is -sign * k * M^2; sign 1 gives the worst negative case."""
+    half = 1 << 8 * size - 1
+    # k * M^2 one below 2^(8 * size - 1), which `size` bytes hold, then at it
+    at = half >> 4 * size  # 2 * at^2 == half
+    for k, m_a, m_b, want in ((1, half - 1, 1, size), (2, at, at, 2 * size)):
+        a = Matrix(Shape(8, k), Z, [-m_a] * (8 * k))
+        b = Matrix(Shape(k, 9), Z, [sign * m_b] * (9 * k))
+        assert _packed_size(a, b) == (want if want <= 8 else 0)
+        assert (a @ b).values == (-sign * k * m_a * m_b,) * 72
+        _assert_same(a @ b, _ref_matmul(a, b))
+
+
+def test_wide_fields_take_the_plain_kernel():
+    """A distinct prime denominator per line clears to small numerators and
+    packs; Z entries near 2^40, or a distinct prime per entry, need fields
+    past 8 bytes and take the plain kernel."""
+    z_left = Matrix(Shape(8, 5), Z, [(-1) ** i * (2**40 - i) for i in range(40)])
+    z_right = Matrix(Shape(5, 8), Z, [(-1) ** i * (2**40 + i) for i in range(40)])
+    primes = [p for p in range(10007, 10800) if all(p % d for d in range(2, 104))]
+    line_left = _mat([[Fraction(i - j, primes[i]) for j in range(64)] for i in range(8)])
+    line_right = _mat([[Fraction(i + j + 1, primes[8 + j]) for j in range(9)] for i in range(64)])
+    entry_left = _mat([[Fraction(i - j, primes[i + j]) for j in range(64)] for i in range(8)])
+    entry_right = _mat([[Fraction(i + j + 1, primes[i + j]) for j in range(9)] for i in range(64)])
+    for a, b, packs in [
+        (line_left, line_right, True),
+        (z_left, z_right, False),
+        (entry_left, entry_right, False),
+    ]:
+        assert bool(_packed_size(a, b)) == packs
+        _assert_same(a @ b, _ref_matmul(a, b))
 
 
 # -- usual inverse -----------------------------------------------------------------
@@ -414,10 +489,27 @@ def test_natural_convolution_matches_reference(data):
 @settings(max_examples=150)
 @given(st.data())
 def test_usual_convolution_matches_reference(data):
+    # 8 x 8 and 9 x 9 coefficients pack; zero and one-term polynomials come up
     domain = data.draw(st.sampled_from(DOMAINS))
-    n = data.draw(st.integers(1, 3))
+    n = data.draw(st.sampled_from([1, 2, 3, 8, 9]))
     p, q = data.draw(polys(domain, n, n)), data.draw(polys(domain, n, n))
     _assert_same(p @ q, _ref_umul(p, q))
+
+
+@pytest.mark.parametrize("n", [2, 8], ids=["plain", "packed"])
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_usual_convolution_of_sparse_polynomials(domain, n):
+    top = domain.modulus if domain.is_modular else 10
+
+    def coeff(seed):
+        return Matrix(Shape(n, n), domain, [(seed * i + 1) % top for i in range(n * n)])
+
+    p = MatPoly.from_terms([(0, coeff(3)), (1000, coeff(5))])
+    q = MatPoly.from_terms([(0, coeff(7)), (1000, coeff(2))])
+    huge = MatPoly.from_terms([(10**40, coeff(4))])
+    for x, y in [(p, q), (q, p), (p, huge), (huge, huge), (huge, MatPoly.zero(p.shape, domain))]:
+        _assert_same(x @ y, _ref_umul(x, y))
+    assert sorted(d for d, _ in (p @ q).terms) == [0, 1000, 2000]
 
 
 def test_natural_convolution_keeps_the_partition():
