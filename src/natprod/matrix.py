@@ -40,7 +40,17 @@ from .errors import (
     ZeroDivisorEntry,
     shorten,
 )
-from .scalars import Domain, Q, Scalar, Z, _ratio, _Value, domain_from_code, render_values
+from .scalars import (
+    Domain,
+    Q,
+    Scalar,
+    Z,
+    _ratio,
+    _Value,
+    domain_from_code,
+    plain_entries,
+    render_values,
+)
 
 
 class Shape(NamedTuple):
@@ -330,15 +340,20 @@ def _from_rows(rows, domain, row_cuts, col_cuts, coerce=None):
     cols = len(rows[0])
     if any(len(r) != cols for r in rows):
         raise ValueError("ragged rows")
-    shape = Shape(len(rows), cols)
     values = [v for r in rows for v in r]
-    values = tuple(values if coerce is None else map(coerce, values))
+    values = values if coerce is None else map(coerce, values)
+    return _from_values(Shape(len(rows), cols), domain, values, row_cuts, col_cuts)
+
+
+def _from_values(shape, domain, values, row_cuts, col_cuts):
+    """The matrix of the row-major `values`, canonical for `domain`, cut
+    by the given cuts."""
     ptype = None
     if row_cuts or col_cuts:
         ptype = PartitionType(shape, row_cuts, col_cuts)
         if ptype.is_plain:
             ptype = None
-    return Matrix._make(shape, domain, values, ptype)
+    return Matrix._make(shape, domain, tuple(values), ptype)
 
 
 # -- integer kernels -------------------------------------------------------
@@ -759,51 +774,74 @@ def _parse_span(text, start, end, domain):
         raw_rows.append((chunk, pos))
         pos += len(chunk) + 1
 
-    rows = []
-    cut_layouts = []
+    # Every row's entries up to the first misplaced mark or empty row, then
+    # one parse of them all: an entry's error comes before a later row's.
+    texts = []  # the entries, row after row
+    rows = []  # (chunk, pos, index in `texts` of its first entry, column cuts)
     row_cuts = []
     pending_cut = False
+    refusal = None
     for chunk, pos in raw_rows:
         tokens = chunk.replace("|", " | ").split()
         if tokens == ["--"]:
             if not rows or pending_cut:
-                raise RaggedCuts("misplaced -- row cut", *_location(text, pos))
+                refusal = RaggedCuts("misplaced -- row cut", *_location(text, pos))
+                break
             pending_cut = True
             continue
-        entries = []
-        cuts_here = []
-        for tok in tokens:
-            if tok == "|":
-                if not entries:
-                    raise RaggedCuts("column cut before any entry", *_location(text, pos))
-                cuts_here.append(len(entries))
-            elif tok == "--":
-                raise RaggedCuts("-- must stand alone as a pseudo-row", *_location(text, pos))
-            else:
-                try:
-                    entries.append(domain.parse(tok))
-                except ParseError as exc:
-                    # the same tokens as `tokens`, with where each starts
-                    starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
-                    at = pos + starts[len(entries) + len(cuts_here)]
-                    raise ParseError(f"bad entry: {exc.reason}", *_location(text, at)) from None
-        if not entries:
-            raise ParseError("empty row", *_location(text, pos))
+        first, cuts = len(texts), []
+        rows.append((chunk, pos, first, cuts))
+        if "|" not in chunk and "--" not in tokens:
+            texts += tokens  # a row without marks: every token is an entry
+        else:
+            for tok in tokens:
+                if tok == "|":
+                    if len(texts) == first:
+                        refusal = RaggedCuts("column cut before any entry", *_location(text, pos))
+                        break
+                    cuts.append(len(texts) - first)
+                elif tok == "--":
+                    refusal = RaggedCuts(
+                        "-- must stand alone as a pseudo-row", *_location(text, pos)
+                    )
+                    break
+                else:
+                    texts.append(tok)
+        if refusal is None and len(texts) == first:
+            refusal = ParseError("empty row", *_location(text, pos))
+        if refusal is not None:
+            break
         if pending_cut:
-            row_cuts.append(len(rows))
+            row_cuts.append(len(rows) - 1)
             pending_cut = False
-        rows.append(entries)
-        cut_layouts.append(cuts_here)
 
+    values = plain_entries(domain, texts)
+    if values is None:  # one at a time: the first entry refused raises
+        values = []
+        for tok in texts:
+            try:
+                values.append(domain.parse(tok))
+            except ParseError as exc:
+                # entry k of its row is its row's token k plus the cuts before it
+                k = len(values)
+                chunk, pos, first, cuts = next(row for row in reversed(rows) if row[2] <= k)
+                k -= first
+                starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
+                at = pos + starts[k + sum(c <= k for c in cuts)]
+                raise ParseError(f"bad entry: {exc.reason}", *_location(text, at)) from None
+    if refusal is not None:
+        raise refusal
     if pending_cut:
         raise RaggedCuts("trailing -- row cut", *_location(text, start))
-    if any(len(r) != len(rows[0]) for r in rows):
+    bounds = [first for _, _, first, _ in rows] + [len(texts)]
+    if any(j - i != bounds[1] for i, j in zip(bounds, bounds[1:])):
         raise ParseError("ragged rows", *_location(text, start))
-    if any(layout != cut_layouts[0] for layout in cut_layouts):
+    col_cuts = rows[0][3]
+    if any(cuts != col_cuts for _, _, _, cuts in rows):
         raise RaggedCuts("column cuts differ between rows", *_location(text, start))
-    if any(c >= len(rows[0]) for c in cut_layouts[0]):
+    if any(c >= bounds[1] for c in col_cuts):
         raise RaggedCuts("column cut after the last entry", *_location(text, start))
-    return _from_rows(rows, domain, row_cuts, cut_layouts[0])
+    return _from_values(Shape(len(rows), bounds[1]), domain, values, row_cuts, col_cuts)
 
 
 def parse_matrix(text: str, domain: Domain = Q) -> Matrix:
@@ -862,7 +900,22 @@ def matrix_from_json(obj) -> Matrix:
             obj = json.loads(obj)
         domain = domain_from_code(obj["domain"])
         entries = _json_array(obj["entries"], "entries")
-        rows = [[domain.parse(v) for v in _json_array(r, "a row of entries")] for r in entries]
+        # every row's entries up to the first that is not an array, then
+        # one parse of them all
+        texts, bounds, refusal = [], [0], None
+        for row in entries:
+            try:
+                texts += _json_array(row, "a row of entries")
+            except ParseError as exc:
+                refusal = exc
+                break
+            bounds.append(len(texts))
+        values = plain_entries(domain, texts)
+        if values is None:
+            values = [domain.parse(v) for v in texts]
+        if refusal is not None:
+            raise refusal
+        rows = [values[i:j] for i, j in zip(bounds, bounds[1:])]
         m = _from_rows(rows, domain, *_json_cuts(obj))
         declared = Shape(_json_int(obj["rows"], "rows"), _json_int(obj["cols"], "cols"))
     except JSON_INPUT_ERRORS as exc:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import repeat
 from math import gcd
 
 from .errors import (
@@ -282,11 +283,58 @@ class Domain(_Value):
         return value
 
 
+def plain_entries(domain, texts):
+    """[domain.parse(t) for t in texts] with each distinct text parsed once,
+    or None unless each is a plain literal: no whitespace, integers within
+    the digit limit, a nonzero denominator, a whole number outside Q and
+    Q+, no negative numerator in a cone.  On None a caller parses the
+    texts one at a time, so `domain.parse` stays the one grammar and names
+    the first text it refuses.
+
+    `int` checks the grammar here: on a text without whitespace or `_`,
+    int(t) succeeds exactly when t is an optional sign and decimal digits
+    (Unicode ones too, as _SCALAR_RE reads them), so it refuses any `/`.
+    A denominator is unsigned when no `/` is followed by a sign."""
+    try:
+        distinct = list(dict.fromkeys(texts))
+        joined = ",".join(distinct)
+    except TypeError:  # a JSON number, array, object, boolean or null
+        return None
+    if len(joined.split(None, 1)) != 1 or "_" in joined or "/+" in joined or "/-" in joined:
+        return None
+    try:
+        if domain.is_rational:
+            parts = list(map(str.partition, distinct, repeat("/")))
+            nums = [int(n) for n, _, _ in parts]
+            dens = [int(d) if slash else 1 for _, slash, d in parts]
+        else:
+            nums = list(map(int, distinct))
+    except ValueError:  # not an integer, or past the int/str digit limit
+        return None
+    if domain.is_cone and min(nums) < 0 or domain.is_rational and 0 in dens:
+        return None
+    if domain.is_rational:
+        values = list(map(_ratio, nums, dens))
+    elif domain.is_modular:
+        values = [v % domain.modulus for v in nums]
+    else:
+        values = nums
+    if len(values) == len(texts):
+        return values
+    table = dict(zip(distinct, values))
+    return list(map(table.__getitem__, texts))
+
+
 def render_values(values):
     """The text of each of `values`: an integer, or `p/q` in lowest terms
-    (which is what str gives of a Fraction)."""
+    (which is what str gives of a Fraction), from the Fraction's integers."""
     try:
-        return list(map(str, values))
+        return [
+            str(v) if v.__class__ is not Fraction
+            else str(v._numerator) if v._denominator == 1
+            else f"{v._numerator}/{v._denominator}"
+            for v in values
+        ]
     except ValueError:  # only an int past the int/str digit limit fails here
         raise TooLarge(_past_digit_limit("an integer to print")) from None
 

@@ -1,21 +1,28 @@
 """The integer kernels of `@` (plain and packed), `usual_inverse` and the
 MatPoly convolutions, the Q/Q+ entrywise kernels of `+`, `-`, `*` and
-`scale`, and the per-entry paths of parse, JSON, render and
-`natural_inverse`, against the plain Fraction/int code they replaced (kept
-here, test-only, as `_ref_*`).
+`scale`, the per-entry paths of parse, JSON, render and
+`natural_inverse`, and the bulk entry parse of whole literals, JSON
+matrices and polynomials, against the plain Fraction/int code they
+replaced (kept here, test-only, as `_ref_*`).
 Results must agree exactly, value types included; so must the type and
-message of every exception."""
+message of every exception, and the line and column of a parse error."""
 
 import operator
+import random
 import re
+import sys
+import unicodedata
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import natprod.matpoly
 from natprod import (
     ConeViolation,
+    Domain,
     MatPoly,
     Matrix,
     Mod,
@@ -25,6 +32,7 @@ from natprod import (
     PartitionType,
     Q,
     Q_PLUS,
+    RaggedCuts,
     Shape,
     SingularLead,
     TooLarge,
@@ -37,12 +45,23 @@ from natprod import (
     natural_inverse,
     parse_literal,
     parse_poly,
+    poly_from_json,
     render_matrix,
     zeros,
 )
 from natprod.errors import shorten
 from natprod.scalars import domain_from_code
-from natprod.matrix import _PACK_MIN, _field_size, _lift, _lower, _pack, _unpack, usual_inverse
+from natprod.matrix import (
+    _PACK_MIN,
+    _field_size,
+    _from_rows,
+    _lift,
+    _location,
+    _lower,
+    _pack,
+    _unpack,
+    usual_inverse,
+)
 from natprod.scalars import _parse_int, _past_digit_limit
 
 DOMAINS = [Z, Q, Z_PLUS, Q_PLUS, Mod(7), Mod(12)]
@@ -119,6 +138,8 @@ def _ref_monicize_usual(p):
 
 def _ref_parse(domain, text):
     """Domain.parse as a round trip: strip, match, split, Fraction, coerce."""
+    if not isinstance(text, str):  # a JSON number, array, object, boolean or null
+        raise ParseError(f"a scalar literal must be a string, got {shorten(repr(text))}")
     text = text.strip()
     if not re.match(r"^[+-]?\d+(/\d+)?$", text):
         raise ParseError(f"bad scalar literal {shorten(text)!r}")
@@ -198,6 +219,85 @@ def _ref_matrix_from_json(obj):
     return Matrix.from_rows(rows, domain, obj.get("row_cuts", ()), obj.get("col_cuts", ()))
 
 
+def _ref_parse_span(text, start, end, domain):
+    """The literal text[start:end] read a row at a time, one `Domain.parse`
+    per token as each is met."""
+    stripped = text[start:end].strip()
+    if not stripped:
+        raise ParseError("empty literal")
+    start = text.index(stripped[0], start)
+    if not (stripped.startswith("[") and stripped.endswith("]")):
+        raise ParseError("matrix literal must be bracketed", *_location(text, start))
+
+    raw_rows = []
+    pos = start + 1
+    for chunk in stripped[1:-1].split(";"):
+        raw_rows.append((chunk, pos))
+        pos += len(chunk) + 1
+
+    rows = []
+    cut_layouts = []
+    row_cuts = []
+    pending_cut = False
+    for chunk, pos in raw_rows:
+        tokens = chunk.replace("|", " | ").split()
+        if tokens == ["--"]:
+            if not rows or pending_cut:
+                raise RaggedCuts("misplaced -- row cut", *_location(text, pos))
+            pending_cut = True
+            continue
+        entries = []
+        cuts_here = []
+        for tok in tokens:
+            if tok == "|":
+                if not entries:
+                    raise RaggedCuts("column cut before any entry", *_location(text, pos))
+                cuts_here.append(len(entries))
+            elif tok == "--":
+                raise RaggedCuts("-- must stand alone as a pseudo-row", *_location(text, pos))
+            else:
+                try:
+                    entries.append(domain.parse(tok))
+                except ParseError as exc:
+                    # the same tokens as `tokens`, with where each starts
+                    starts = [t.start() for t in re.finditer(r"\||[^\s|]+", chunk)]
+                    at = pos + starts[len(entries) + len(cuts_here)]
+                    raise ParseError(f"bad entry: {exc.reason}", *_location(text, at)) from None
+        if not entries:
+            raise ParseError("empty row", *_location(text, pos))
+        if pending_cut:
+            row_cuts.append(len(rows))
+            pending_cut = False
+        rows.append(entries)
+        cut_layouts.append(cuts_here)
+
+    if pending_cut:
+        raise RaggedCuts("trailing -- row cut", *_location(text, start))
+    if any(len(r) != len(rows[0]) for r in rows):
+        raise ParseError("ragged rows", *_location(text, start))
+    if any(layout != cut_layouts[0] for layout in cut_layouts):
+        raise RaggedCuts("column cuts differ between rows", *_location(text, start))
+    if any(c >= len(rows[0]) for c in cut_layouts[0]):
+        raise RaggedCuts("column cut after the last entry", *_location(text, start))
+    return _from_rows(rows, domain, row_cuts, cut_layouts[0])
+
+
+def _ref_parse_literal(text, domain):
+    return _ref_parse_span(text, 0, len(text), domain)
+
+
+def _ref_parse_poly(text, domain):
+    """parse_poly with each coefficient read by `_ref_parse_span`."""
+    with mock.patch.object(natprod.matpoly, "_parse_span", _ref_parse_span):
+        return parse_poly(text, domain)
+
+
+def _ref_poly_from_json(obj):
+    """poly_from_json with each coefficient read by `_ref_matrix_from_json`."""
+    with mock.patch.object(natprod.matpoly, "matrix_from_json", _ref_matrix_from_json):
+        return poly_from_json(obj)
+
+
 # -- comparison --------------------------------------------------------------
 
 
@@ -236,6 +336,19 @@ def _assert_same_outcome(got, want):
         assert got == want
     else:
         _assert_same(got, want)
+
+
+def _located(fn, *args):
+    """fn(*args), or the type, message, line and column of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "line", None), getattr(exc, "column", None)
+
+
+def _assert_parsed_alike(fn, ref, *args):
+    """fn and ref give equal values of equal types, or raise alike."""
+    _assert_same_outcome(_located(fn, *args), _located(ref, *args))
 
 
 # -- inputs --------------------------------------------------------------------
@@ -763,6 +876,204 @@ def test_rational_parse_and_json_match_reference(domain, data):
         "col_cuts": list(ptype.col_cuts),
     }
     _assert_same_outcome(_outcome(matrix_from_json, obj), _outcome(_ref_matrix_from_json, obj))
+
+
+# -- whole literals and JSON documents ------------------------------------------
+#
+# parse_literal and matrix_from_json parse each distinct entry text once
+# (scalars.plain_entries), and fall back to one Domain.parse per entry; the
+# references parse every entry as it is met.
+
+_MARKS = ["|", "--"]
+_LITERAL_TOKENS = st.one_of(
+    st.integers(-12, 12).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
+    _scalar_tokens(),
+    st.sampled_from(_EDGE_TOKENS),
+)
+
+
+@st.composite
+def _literals(draw):
+    """A matrix literal of a few distinct tokens, most of them repeated,
+    with a column cut in each row or none, and now and then a mark `|` or
+    `--` that may be misplaced."""
+    pool = draw(st.lists(_LITERAL_TOKENS, min_size=1, max_size=4))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    cut = draw(st.integers(0, cols))
+    lines = []
+    for _ in range(rows):
+        cells = [draw(st.sampled_from(pool)) for _ in range(cols)]
+        if cut:
+            cells.insert(cut, "|")
+        if draw(st.integers(0, 4)) == 0:
+            cells.insert(draw(st.integers(0, len(cells))), draw(st.sampled_from(_MARKS)))
+        lines.append(" ".join(cells))
+        if draw(st.integers(0, 5)) == 0:
+            lines.append("--")
+    return "[" + draw(st.sampled_from([";", " ; ", ";\n"])).join(lines) + "]"
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(DOMAINS), _literals())
+def test_literal_parse_matches_reference(domain, text):
+    _assert_parsed_alike(parse_literal, _ref_parse_literal, text, domain)
+
+
+_EDGE_LITERALS = [
+    # a bad token repeated: the error names its first occurrence
+    "[1 x 2;x 3 4]", "[1 2 x x;3 4 x x]", "[1 2;3 x;x x]", "[1/0 1/0;1 1/0]",
+    # a bad entry before, and after, a misplaced mark in the same row or a later one
+    "[1 x | | 2]", "[| 1 x]", "[x | 1;| 2 3]", "[1 x -- 2]", "[1 -- x]", "[x -- 1]",
+    "[1 2;x 3;| 4 5]", "[1 2;| 3 4;x 5]", "[1 2;3 4 -- x]", "[1 x;3 4 -- 5]",
+    "[1 2;--;--;x 4]", "[x;--;--]", "[--;x]", "[1 ;; x]", "[x ;; 1]", "[1 2;--]",
+    "[1 x | 2;3 4 | 5]", "[1 | 2;3 4 | x]", "[1 2 |;3 4 |]", "[1 2;3 4 5;x 6]",
+    # Unicode digits, `_`, signs, -0, and the int/str digit limit
+    "[٣ १/๒ ７;-٣ +१ 0]", "[1_000 1]", "[1 1_000]",
+    "[-0 +0 -0/5;0 -0 +0]", "[-0 -1;-0 -0]", "[+1/+2 1]", "[1/-2 1]", "[-1 -1 1]",
+    f"[1 {_PAST_LIMIT}]", f"[{_PAST_LIMIT} {_PAST_LIMIT}]", f"[1/{_PAST_LIMIT} 2]",
+    f"[{'0' * 4300}1 1]", "[0/0 1]", "[1/2/3]", "[1//2]", "[1/ 2]", "[1 /2]", "[/2]",
+    # literals that are not plain: a whole quotient, commas, no entry at all
+    "[4/2 2;-6/3 4/2]", "[1,2 3]", "[1, 2]", "[ ]", "[;]", "[|]", "[--]", "1 2",
+]
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_edge_literals_match_reference(domain):
+    for text in _EDGE_LITERALS:
+        _assert_parsed_alike(parse_literal, _ref_parse_literal, text, domain)
+
+
+def test_a_repeated_bad_entry_is_named_at_its_first_occurrence():
+    with pytest.raises(ParseError) as info:
+        parse_literal("[1 x 2;x 3 4]", Q)
+    assert str(info.value) == "bad entry: bad scalar literal 'x' (line 1, column 4)"
+    with pytest.raises(ParseError) as info:
+        parse_literal("[1 2 | 3;\n4 5 | 1/0;\n1/0 7 | 8]", Z)
+    assert (info.value.line, info.value.column) == (2, 7)
+
+
+# JSON entries: texts (some with whitespace), and values that are not text
+_JSON_ENTRIES = st.one_of(
+    st.integers(-9, 9).map(str),
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(0, 9)),
+    st.sampled_from(_EDGE_TOKENS),
+    st.sampled_from([" 3 ", "-0", [1], {}, 1, True, 1.0, None, ["1"]]),
+)
+
+
+@st.composite
+def _json_matrices(draw, domain):
+    """A JSON matrix of one shape whose entries come from a few, most of
+    them repeated."""
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    pool = draw(st.lists(_JSON_ENTRIES, min_size=1, max_size=4))
+    entries = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+    return {"domain": domain.code, "rows": rows, "cols": cols, "entries": entries}
+
+
+@settings(max_examples=400)
+@given(st.sampled_from(DOMAINS), st.data())
+def test_json_matrix_matches_reference(domain, data):
+    obj = data.draw(_json_matrices(domain))
+    _assert_parsed_alike(matrix_from_json, _ref_matrix_from_json, obj)
+
+
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_json_rows_of_mixed_values_match_reference(domain):
+    rows = [
+        ["1", 1, True], [True, 1, "1"], ["2", "x", "x"], [" 3 ", "3", "1.0"], ["1", 1.0, "1"],
+        ["1", [1], {}], ["4/2", "-0", "1/0"], [_PAST_LIMIT, "1", "1"], ["1_0", "1", "٣"],
+    ]
+    for row in rows:
+        obj = {"domain": domain.code, "rows": 1, "cols": 3, "entries": [row]}
+        _assert_parsed_alike(matrix_from_json, _ref_matrix_from_json, obj)
+
+
+@settings(max_examples=200)
+@given(st.sampled_from(DOMAINS), st.data())
+def test_parsed_polynomials_match_reference(domain, data):
+    rows, cols = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    pool = data.draw(st.lists(_LITERAL_TOKENS, min_size=1, max_size=3))
+    degrees = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=3))
+    coeffs = [
+        [[data.draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
+        for _ in degrees
+    ]
+    text = " + ".join(
+        "[" + ";".join(map(" ".join, c)) + f"] * x^{d}" for d, c in zip(degrees, coeffs)
+    )
+    _assert_parsed_alike(parse_poly, _ref_parse_poly, text, domain)
+    obj = {
+        "shape": {"rows": rows, "cols": cols},
+        "domain": domain.code,
+        "terms": [
+            {"deg": d, "coeff": {"domain": domain.code, "rows": rows, "cols": cols, "entries": c}}
+            for d, c in zip(degrees, coeffs)
+        ],
+    }
+    _assert_parsed_alike(poly_from_json, _ref_poly_from_json, obj)
+
+
+def _benchmark_shaped(domain, n):
+    """An n x n matrix with entries as the algebra benchmark draws them:
+    -9..9, over 1..9 in Q."""
+    rng = random.Random(n)
+    if domain.is_rational:
+        values = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n * n)]
+    else:
+        values = [rng.randint(-9, 9) for _ in range(n * n)]
+    return Matrix(Shape(n, n), domain, values)
+
+
+@pytest.mark.parametrize("domain", [Z, Q], ids=lambda d: d.code)
+def test_plain_entries_are_parsed_in_bulk_and_the_rest_one_at_a_time(domain, monkeypatch):
+    parsed = []
+    parse = Domain.parse
+
+    def counted(self, text):
+        parsed.append(text)
+        return parse(self, text)
+
+    monkeypatch.setattr(Domain, "parse", counted)
+    a = _benchmark_shaped(domain, 8)
+    text, obj = render_matrix(a), matrix_to_json(a)
+    _assert_same(parse_literal(text, domain), a)
+    _assert_same(matrix_from_json(obj), a)
+    assert parsed == []
+    # outside Q a whole quotient is no plain entry, but parses all the same
+    assert parse_literal("[4/2 1]", domain) == parse_literal("[2 1]", domain)
+    assert parsed == ([] if domain.is_rational else ["4/2", "1"])
+    cells = [cell for row in obj["entries"] for cell in row]
+    for bad in _EDGE_TOKENS + [[1], {}, 1, True, 1.0, None]:
+        if isinstance(bad, str) and _typed_outcome(parse, domain, bad)[0] is not ParseError:
+            continue
+        entries = cells[:37] + [bad] + cells[38:]
+        obj["entries"] = [entries[i : i + 8] for i in range(0, 64, 8)]
+        parsed.clear()
+        _assert_parsed_alike(matrix_from_json, _ref_matrix_from_json, obj)
+        assert parsed[-1] == bad
+        if isinstance(bad, str) and bad and not any(map(str.isspace, bad)):
+            literal = "[" + ";".join(" ".join(entries[i : i + 8]) for i in range(0, 64, 8)) + "]"
+            parsed.clear()
+            _assert_parsed_alike(parse_literal, _ref_parse_literal, literal, domain)
+            assert parsed[-1] == bad
+
+
+def test_int_reads_the_digits_and_whitespace_of_the_scalar_grammar():
+    """plain_entries lets int() check the grammar _SCALAR_RE states with
+    \\d and \\s, and str.split find the whitespace: all of them agree on
+    every code point."""
+    chars = "".join(map(chr, range(sys.maxunicode + 1)))
+    digits = "".join(filter(str.isdecimal, chars))
+    assert "".join(re.findall(r"\d", chars)) == digits
+    assert "".join(re.findall(r"\s", chars)) == "".join(filter(str.isspace, chars))
+    assert chars.split() == [c for c in re.split(r"\s+", chars) if c]
+    assert [int(c) for c in digits] == [unicodedata.decimal(c) for c in digits]
+    for c in filter(str.isnumeric, chars):
+        if not c.isdecimal():
+            with pytest.raises(ValueError):
+                int(c)
 
 
 @settings(max_examples=200)
