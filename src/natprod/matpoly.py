@@ -7,9 +7,12 @@ convolution, which is commutative for every shape, and the usual-product
 convolution, defined for square unpartitioned coefficients only and
 noncommutative.  Both convolutions lift each polynomial once to integers
 (one denominator per entry position for the natural product, per row of
-the left and per column of the right factor for the usual one), add
-integer products per output degree and lower each output coefficient once
-(the kernels of `matrix`).  Formal derivative and integral act
+the left and per column of the right factor for the usual one) and lower
+each output coefficient once (the kernels of `matrix`).  In between, dense
+factors pack each entry's coefficients over their degrees into one int, so
+one big-int multiply per entry position, or per pair of entries for the
+usual product, does the whole convolution; sparse or wide ones add integer
+products per output degree.  Formal derivative and integral act
 coefficientwise.
 """
 
@@ -49,8 +52,11 @@ from .matrix import (
     _lift,
     _location,
     _lower,
+    _max_abs,
     _pack,
     _parse_span,
+    _unpack,
+    _width,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
@@ -60,6 +66,11 @@ from .matrix import (
     zeros,
 )
 from .scalars import Domain, Q, Scalar, Z, _parse_int, _ratio, _Value, domain_from_code, kth_root
+
+# the fewest pairs of terms with which `*` and `@` pack over degrees
+# (crossover table in `matrix`)
+_PACK_PAIRS_MUL = 64
+_PACK_PAIRS_MATMUL = 16
 
 
 class MatPoly(_Value):
@@ -190,19 +201,38 @@ class MatPoly(_Value):
         return self + (-other)
 
     def __mul__(self, other):
-        """Cauchy convolution with the natural product on coefficients."""
+        """Cauchy convolution with the natural product on coefficients.
+
+        Dense factors are packed over their degrees (see `_dense`), so each
+        entry position is one big-int multiply; otherwise each pair of
+        degrees adds one entrywise product.
+        """
         self._check_peer(other)
         a, da = _lift_entries(self)
         b, db = _lift_entries(other)
         dens = list(map(mul, da, db))
+        if _dense(self, other, _PACK_PAIRS_MUL):
+            zero = (0,) * len(dens)
+            left, right = _degrees(a, zero), _degrees(b, zero)
+            size = _width(min(len(a), len(b)) * _max_abs(left) * _max_abs(right))
+            if size:
+                fields = len(left) + len(right) - 1
+                sums = list(map(mul, _pack(left, size), _pack(right, size)))
+                return _lowered(self, min(a) + min(b), _unpack(sums, fields, size), fields, dens)
         return MatPoly(self.shape, self.domain, _convolve(self, a, b, dens), self.ptype)
 
     def __matmul__(self, other):
         """Convolution with the usual matrix product; square, unpartitioned.
 
-        Output degree d is one product [a_i | a_i' | ...] @ [b_j ; b_j' ; ...]
-        over its pairs i + j = d, so each is lowered once and, past the
-        shape threshold of `matrix`, each degree of `other` is packed once.
+        Dense factors are packed over their degrees (see `_dense`): each
+        left entry A[r][t] becomes one int with a field per degree, and
+        each right row t one int with a run of fields per column, padded
+        so that two columns' products never overlap.  Output row r is then
+        the sum over t of n big-int multiplies, and one unpack gives every
+        degree of it.  Sparse or wide factors take one product
+        [a_i | a_i' | ...] @ [b_j ; b_j' ; ...] per output degree over its
+        pairs i + j = d, packed over columns past the shape threshold of
+        `matrix`.  Either way each output coefficient is lowered once.
         """
         self._check_peer(other)
         if self.shape.rows != self.shape.cols:
@@ -213,6 +243,17 @@ class MatPoly(_Value):
         a, rd = _lift_lines(self, lambda values, i: values[i * n : (i + 1) * n])
         b, cd = _lift_lines(other, lambda values, j: values[j::n])
         dens = [r * c for r in rd for c in cd]
+        if _dense(self, other, _PACK_PAIRS_MATMUL):
+            zero = [[0] * n] * n
+            left = [list(chain.from_iterable(rows)) for rows in _degrees(a, zero)]
+            fields = len(left) + max(b) - min(b)
+            right = [cols[c] for c in range(n) for cols in _degrees(b, zero, fields)]
+            size = _width(n * min(len(a), len(b)) * _max_abs(left) * _max_abs(right))
+            if size:
+                left, right = _pack(left, size), _pack(right, size)
+                sums = [sum(map(mul, left[r * n : (r + 1) * n], right)) for r in range(n)]
+                flat = _unpack(sums, n * fields, size)
+                return _lowered(self, min(a) + min(b), flat, fields, dens)
         pairs = {}
         for i in a:
             for j in b:
@@ -252,6 +293,33 @@ def _lift_lines(p, line):
     )
     cut = {d: [x[k * n : (k + 1) * n] for x in ints] for k, d in enumerate(p._terms)}
     return cut, dens
+
+
+def _dense(p, q, pairs):
+    """Whether the product of p and q packs over degrees: each spans at
+    most 3/2 of its term count of degrees, and they have at least `pairs`
+    pairs of terms (crossover measured in `matrix`)."""
+    return len(p._terms) * len(q._terms) >= pairs and all(
+        2 * (max(t) - min(t) + 1) <= 3 * len(t) for t in (p._terms, q._terms)
+    )
+
+
+def _degrees(lifted, zero, fields=0):
+    """lifted[d] for each degree d from the lowest on, `zero` where there is
+    no term, up to the highest degree or to `fields` items if more."""
+    low = min(lifted)
+    return [lifted.get(d, zero) for d in range(low, low + max(fields, max(lifted) - low + 1))]
+
+
+def _lowered(p, low, flat, fields, dens):
+    """The polynomial in p's shape, domain and partition whose coefficient
+    of degree low + k has the ints flat[k::fields] over `dens`."""
+    out = {}
+    for k in range(fields):
+        ints = flat[k::fields]
+        if any(ints):
+            out[low + k] = _lower(p.shape, p.domain, ints, dens)
+    return MatPoly(p.shape, p.domain, out, p.ptype)
 
 
 def _convolve(p, a, b, dens):

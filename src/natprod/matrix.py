@@ -395,6 +395,40 @@ _PACK_MIN = 8
 # the signed little-endian struct formats by byte size
 _FIELD_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 
+# Kronecker substitution over degrees (`matpoly`, in its classical form): a
+# polynomial packs each entry position into one int with a field per degree,
+# lowest first, 0 for a missing degree.  For `*` the two ints of an entry
+# position multiply once, and field k of the product is the sum over
+# i + j = k of a_i * b_j: at most min(ta, tb) products for factors of ta and
+# tb terms, so |field| <= min(ta, tb) * max|a| * max|b|.  For `@` each left
+# entry A[r][t] packs over its la degrees, and each right row t packs column
+# by column, each column's run of lb degrees padded to la + lb - 1 fields:
+# field c * (la + lb - 1) + k of sum_t A[r][t] * B[t] is entry (r, c) of
+# degree k, no two columns overlap, and each field adds n times the
+# products of `*`.  `_width` sizes both bounds; `_pack` and `_unpack` move
+# the fields as above.
+#
+# Packing pays per term and splits per output field, so it wins when the
+# pairs of terms are many and the spans hold few holes.  Time packed /
+# plain, t terms a side spread over t or 1.5t degrees, entries as the
+# `algebra` benchmark draws them, Python 3.11:
+#
+#             * Z 3x3     * Q 3x3     @ Z 3x3     @ Q 3x3     @ Q 8x8
+#      t     t   1.5t    t   1.5t    t   1.5t    t   1.5t    t   1.5t
+#      2   1.05  1.82  1.51  1.50  1.02  1.11  0.98  1.05  0.97  1.14
+#      3   1.29  2.32  1.28  1.35  0.78  0.74  0.90  0.87  0.88  0.85
+#      4   0.79  1.30  0.99  1.16  0.78  0.61  0.77  0.79  0.82  0.94
+#      8   0.72  0.83  0.90  0.94  0.42  0.42  0.57  0.66  0.79  1.00
+#     16   0.37  0.46  0.64  0.71  0.28  0.55  0.50  0.59  0.69  0.85
+#     31   0.25  0.24  0.41  0.53  0.17  0.21  0.37  0.44  0.64  0.80
+#
+# Over 2t degrees `@` Q 8x8 reads 1.08 to 1.21 from t = 3 on.  So a factor
+# packs only when it spans at most 3/2 of its term count of degrees, and a
+# product packs from 64 pairs of terms for `*` and 16 for `@`: t = 8 is the
+# first row that wins in every `*` column, and t = 3 of `@` read 1.02 on
+# 2x2 and 1.16 on 3x3 Z in a second run.  A field past 8 bytes stays
+# plain, as for columns.
+
 
 def _lift(lines):
     """(ints, dens): each line of values as integer numerators over dens[t],
@@ -419,9 +453,18 @@ def _field_size(left, right, fields, terms):
     if min(len(left), fields) < _PACK_MIN:
         return 0
     # at least one left factor of 1 bounds every right entry, which _pack stores
-    bound = terms * max(1, *(max(map(abs, line)) for line in left))
-    bound *= max((max(map(abs, line)) for line in right), default=0)
-    # the least size with bound < 2^(8 * size - 1), rounded up to a format
+    return _width(terms * max(1, _max_abs(left)) * _max_abs(right))
+
+
+def _max_abs(lines):
+    """The largest absolute value in the int lines `lines`; 0 if none."""
+    return max(map(abs, chain.from_iterable(lines)), default=0)
+
+
+def _width(bound):
+    """The least field size in bytes, 1, 2, 4 or 8, whose signed fields hold
+    every int of absolute value at most `bound`; 0 past 8 bytes."""
+    # bound < 2^(8 * size - 1)
     bits = bound.bit_length() + 1
     return next((size for size in _FIELD_FORMATS if 8 * size >= bits), 0)
 

@@ -434,7 +434,7 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
             (elements[a], elements[b])
             for a, row in enumerate(rows)
             if a != zero
-            for b in itertools.compress(idx, map(zero.__eq__, row))
+            for b in _positions(row, zero)
             if b != zero
         )
     subgroups = table.h_classes(idempotents, closed)
@@ -454,6 +454,17 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         max_subgroups=tuple((elements[e], members(h)) for e, h in subgroups),
         smarandache=members(table.smarandache(subgroups)),
     )
+
+
+def _positions(row, value):
+    """Every index of `value` in `row`, ascending."""
+    at = -1
+    try:
+        while True:
+            at = row.index(value, at + 1)
+            yield at
+    except ValueError:
+        return
 
 
 def idempotents_in(carrier: Carrier):

@@ -382,6 +382,37 @@ def polys(draw, domain, rows, cols):
     )
 
 
+def _random_value(rng, domain):
+    """What `_values(domain)` draws, or 0 one time in four, from `rng`."""
+    if rng.randrange(4) == 0:
+        return 0
+    if domain.is_modular:
+        return rng.randrange(domain.modulus)
+    value = rng.randint(0 if domain.is_cone else -40, 40)
+    return Fraction(value, rng.choice(DENOMINATORS)) if domain.is_rational else value
+
+
+@st.composite
+def dense_polys(draw, domain, rows, cols, ptype=None):
+    """A run of up to 12 degrees from a drawn lowest one, with holes: dense
+    enough to pack over degrees, or, with up to half of its inner degrees
+    left out, not.  Coefficients come from one drawn seed, which keeps
+    drawing cheap, and are nonzero."""
+    low = draw(st.sampled_from([0, 1, 3, 2**70]))
+    count = draw(st.one_of(st.integers(1, 12), st.integers(10, 12)))
+    most = draw(st.sampled_from([count // 3, count // 2]))  # each side of the density gate
+    holes = draw(st.sets(st.integers(1, count - 2), max_size=most)) if count > 2 else ()
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    terms = {}
+    for k in range(count):
+        if k not in holes:
+            values = [_random_value(rng, domain) for _ in range(rows * cols)]
+            if not any(values):
+                values[rng.randrange(rows * cols)] = 1
+            terms[low + k] = Matrix(Shape(rows, cols), domain, values)
+    return MatPoly(Shape(rows, cols), domain, terms, ptype)
+
+
 def _mat(rows, domain=Q):
     return Matrix.from_rows(rows, domain)
 
@@ -501,6 +532,27 @@ def test_field_width_holds_the_extreme_sums(size, sign):
         assert _packed_size(a, b) == (want if want <= 8 else 0)
         assert (a @ b).values == (-sign * k * m_a * m_b,) * 72
         _assert_same(a @ b, _ref_matmul(a, b))
+    # packed over degrees, eight terms a side: field 7 of `*` adds 8
+    # products and field 7 of a 2 x 2 `@` adds 2 * 8, `terms` in each case
+    for terms, product, ref in ((8, operator.mul, _ref_nmul), (16, operator.matmul, _ref_umul)):
+        exponent = 8 * size - terms.bit_length()  # half == terms * 2^exponent
+        for m_a, m_b, want in (
+            (half // terms - 1, 1, size),
+            (1 << (exponent + 1) // 2, 1 << exponent // 2, 2 * size),
+        ):
+            p = MatPoly(Shape(2, 2), Z, {d: Matrix(Shape(2, 2), Z, [-m_a] * 4) for d in range(8)})
+            q = MatPoly(Shape(2, 2), Z, {d: Matrix(Shape(2, 2), Z, [sign * m_b] * 4) for d in range(8)})
+            assert _degree_sizes(product, p, q) == ([want] if want <= 8 else [])
+            assert product(p, q).coeff(7).values == (-sign * terms * m_a * m_b,) * 4
+            _assert_same(product(p, q), ref(p, q))
+
+
+def _degree_sizes(product, p, q):
+    """The field sizes `product(p, q)` packs over degrees with: [] when it
+    takes the plain convolution."""
+    with mock.patch.object(natprod.matpoly, "_unpack", wraps=natprod.matpoly._unpack) as unpack:
+        product(p, q)
+    return [call.args[2] for call in unpack.call_args_list]
 
 
 def test_wide_fields_take_the_plain_kernel():
@@ -623,6 +675,56 @@ def test_usual_convolution_of_sparse_polynomials(domain, n):
     for x, y in [(p, q), (q, p), (p, huge), (huge, huge), (huge, MatPoly.zero(p.shape, domain))]:
         _assert_same(x @ y, _ref_umul(x, y))
     assert sorted(d for d, _ in (p @ q).terms) == [0, 1000, 2000]
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(DOMAINS), st.data())
+def test_dense_convolutions_match_reference(domain, data):
+    # runs of up to 12 terms, with holes, reach both sides of the
+    # degree-packing gate; `*` also on partitioned coefficients
+    n = data.draw(st.integers(1, 3))
+    p, q = (data.draw(dense_polys(domain, n, n)) for _ in range(2))
+    _assert_same(p @ q, _ref_umul(p, q))
+    shape = Shape(n, data.draw(st.integers(1, 3)))
+    ptype = data.draw(_partitions(shape))
+    p, q = (data.draw(dense_polys(domain, *shape, ptype)) for _ in range(2))
+    _assert_same(p * q, _ref_nmul(p, q))
+
+
+def _poly_at(domain, n, degrees, seed):
+    """n x n coefficients at `degrees`, none of them zero."""
+    top = domain.modulus if domain.is_modular else 10
+    return MatPoly(
+        Shape(n, n),
+        domain,
+        {d: Matrix(Shape(n, n), domain, [(seed * d + i + 1) % top for i in range(n * n)]) for d in degrees},
+    )
+
+
+@pytest.mark.parametrize("n", [2, 8])
+@pytest.mark.parametrize("domain", DOMAINS, ids=lambda d: d.code)
+def test_degree_packing_gate(domain, n):
+    """`*` packs from 64 pairs of terms and `@` from 16, when each factor
+    spans at most 3/2 of its term count of degrees."""
+    dense8 = range(8)
+    holed8 = [0, 1, 2, 3, 4, 5, 6, 11]  # 8 terms over 12 degrees
+    sparse8 = [0, 1, 2, 3, 4, 5, 6, 12]  # 8 terms over 13
+    cases = [
+        (operator.mul, dense8, dense8, True),
+        (operator.mul, range(7), range(9), False),
+        (operator.mul, holed8, dense8, True),
+        (operator.mul, sparse8, dense8, False),
+        (operator.matmul, range(4), range(4), True),
+        (operator.matmul, range(3), range(5), False),
+        (operator.matmul, [1, 2, 4, 5, 7], range(10**40, 10**40 + 4), True),  # 5 over 7
+        (operator.matmul, [0, 1, 2, 6], range(4), False),  # 4 over 7
+    ]
+    for product, left, right, packs in cases:
+        if n == 8 and product is operator.mul:
+            continue  # the entry count does not enter the gate
+        p, q = _poly_at(domain, n, left, 3), _poly_at(domain, n, right, 5)
+        assert bool(_degree_sizes(product, p, q)) == packs
+        _assert_same(product(p, q), (_ref_nmul if product is operator.mul else _ref_umul)(p, q))
 
 
 def test_natural_convolution_keeps_the_partition():

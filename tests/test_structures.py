@@ -342,6 +342,28 @@ def test_analyze_zero_divisors_reported():
     assert len(report.zero_divisor_pairs) == 8
 
 
+@pytest.mark.parametrize(
+    "carrier",
+    [
+        Carrier.all_matrices(Shape(1, 4), Mod(4)),
+        Carrier.masks(Shape(2, 3)),
+        # no zero member: [1 0] * [0 1] leaves the carrier for the zero matrix
+        Carrier.explicit(row(v, Z) for v in ([1, 0], [0, 1], [2, 0], [1, 1], [0, 3])),
+    ],
+    ids=["all:1x4:Zn:4", "masks:2x3", "explicit:no-zero"],
+)
+def test_zero_divisor_pairs_match_a_double_loop(carrier):
+    elements = carrier.elements()
+    want = tuple(
+        (a, b)
+        for a in elements
+        for b in elements
+        if not a.is_zero() and not b.is_zero() and (a * b).is_zero()
+    )
+    assert want
+    assert analyze(carrier).zero_divisor_pairs == want
+
+
 def test_max_subgroups_are_groups():
     report = analyze(Carrier.all_matrices(Shape(1, 2), Mod(5)))
     for e, members in report.max_subgroups:
