@@ -82,8 +82,11 @@ class NotMember(NatProdError):
 
 
 class ParseError(NatProdError):
-    def __init__(self, message, line=1, column=1):
-        super().__init__(f"{message} (line {line}, column {column})")
+    """Malformed input; `line` and `column`, both counted from 1, are None
+    when the error has no position in the input."""
+
+    def __init__(self, message, line=None, column=None):
+        super().__init__(message if line is None else f"{message} (line {line}, column {column})")
         self.reason = message
         self.line = line
         self.column = column

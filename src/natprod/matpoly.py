@@ -277,7 +277,7 @@ class MatPoly(_Value):
 def _lift_entries(p):
     """({degree: ints}, dens): p's coefficients entry by entry, with one
     denominator per entry position shared by every degree."""
-    ints, dens = _lift(zip(*(c.values for c in p._terms.values())))
+    ints, dens = _lift(zip(*(c.values for c in p._terms.values())), p.domain)
     return dict(zip(p._terms, zip(*ints))), dens
 
 
@@ -289,7 +289,7 @@ def _lift_lines(p, line):
     """
     n = p.shape.rows
     ints, dens = _lift(
-        [v for c in p._terms.values() for v in line(c.values, t)] for t in range(n)
+        ([v for c in p._terms.values() for v in line(c.values, t)] for t in range(n)), p.domain
     )
     cut = {d: [x[k * n : (k + 1) * n] for x in ints] for k, d in enumerate(p._terms)}
     return cut, dens

@@ -288,8 +288,8 @@ class Matrix(_Value):
                 f"cannot multiply {self.shape} by {other.shape}"
             )
         n, k, m = self.shape.rows, self.shape.cols, other.shape.cols
-        rows, rd = _lift(self.values[i * k : (i + 1) * k] for i in range(n))
-        cols, cd = _lift(other.values[j::m] for j in range(m))
+        rows, rd = _lift((self.values[i * k : (i + 1) * k] for i in range(n)), self.domain)
+        cols, cd = _lift((other.values[j::m] for j in range(m)), self.domain)
         dens = [r * c for r in rd for c in cd]
         size = _field_size(rows, cols, m, k)
         right = _pack(cols, size) if size else cols
@@ -430,16 +430,20 @@ _FIELD_FORMATS = {1: "b", 2: "h", 4: "i", 8: "q"}
 # plain, as for columns.
 
 
-def _lift(lines):
-    """(ints, dens): each line of values as integer numerators over dens[t],
-    the least common denominator of line t."""
+def _lift(lines, domain):
+    """(ints, dens): each line of `domain` values as integer numerators over
+    dens[t], the least common denominator of line t.  Off Q and Q+ the
+    values are ints and every den is 1."""
+    if not domain.is_rational:
+        ints = list(map(list, lines))
+        return ints, [1] * len(ints)
     ints, dens = [], []
     for line in lines:
-        den = lcm(*{v.denominator for v in line})
+        den = lcm(*{v._denominator for v in line})
         if den == 1:
-            ints.append([v.numerator for v in line])
+            ints.append([v._numerator for v in line])
         else:
-            ints.append([v.numerator * (den // v.denominator) for v in line])
+            ints.append([v._numerator * (den // v._denominator) for v in line])
         dens.append(den)
     return ints, dens
 
@@ -986,7 +990,7 @@ def usual_inverse(a: Matrix) -> Matrix:
     if not a.domain.is_rational or a.domain.is_cone:
         raise DomainMismatch("usual inverse is computed over Q")
     n = a.shape.rows
-    rows, dens = _lift(a.values[i * n : (i + 1) * n] for i in range(n))
+    rows, dens = _lift((a.values[i * n : (i + 1) * n] for i in range(n)), a.domain)
     aug = [
         row + [d if j == i else 0 for j in range(n)]
         for i, (row, d) in enumerate(zip(rows, dens))

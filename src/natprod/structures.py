@@ -226,6 +226,10 @@ class _Table:
     product, afresh on each read unless `fill` has kept the whole table
     (n² entries).  Without `cell`, a row is computed by `apply` once and
     kept.  `mul` memoises the products of indices >= n.
+
+    The exhaustive associativity check compares a whole n×n table per
+    member, on `bytes` while every interned index fits one byte (at most
+    256 elements) and on lists past that; see `unassociative_triples`.
     """
 
     __slots__ = ("elements", "n", "index", "rows", "cell", "_apply", "_memo")
@@ -319,17 +323,38 @@ class _Table:
         return None
 
     def unassociative_triples(self):
-        """The triples with (a·b)·c != a·(b·c) in order, on a filled table:
-        each pair (a, b) compares the whole row of c at once, the rows
-        extended once by the products with those outside the members."""
+        """The triples with (a·b)·c != a·(b·c) in order, on a filled table.
+
+        Each member a compares its whole n×n table at once (Light's test,
+        Clifford & Preston 1961): the member table T holds b·c at offset
+        b·n + c, a·(b·c) is T mapped through row a, and (a·b)·c joins the
+        rows that row a picks.  The rows are first extended by every
+        product with those outside the members, so the compare reads the
+        final element count: up to 256 every index is one byte, T is one
+        `bytes` and the map is `bytes.translate`; past that the same
+        compare runs on lists.  Offset i of a difference is (b, c) =
+        divmod(i, n).
+        """
         n, outside = self.n, range(self.n, len(self.elements))
         rows = self.rows + [[self.mul(k, c) for c in range(n)] for k in outside]
-        for a, ra in enumerate(self.rows):
-            ra = ra + [self.mul(a, k) for k in outside]
-            for b in range(n):
-                left, right = rows[ra[b]], [ra[k] for k in rows[b]]
-                if left != right:
-                    yield from ((a, b, c) for c, k in enumerate(left) if k != right[c])
+        picks = [ra + [self.mul(a, k) for k in outside] for a, ra in enumerate(self.rows)]
+        if len(self.elements) <= 256:  # every index is one byte
+            lines, join = list(map(bytes, rows)), b"".join
+
+            def image(ra):
+                return table.translate(bytes(ra).ljust(256, b"\0"))
+
+        else:
+            lines, join = rows, lambda picked: list(itertools.chain.from_iterable(picked))
+
+            def image(ra):
+                return [ra[k] for k in table]
+
+        table = join(lines[:n])
+        for a, ra in enumerate(picks):
+            left, right = join([lines[k] for k in ra[:n]]), image(ra)
+            if left != right:
+                yield from ((a, *divmod(i, n)) for i, k in enumerate(left) if k != right[i])
 
     def idempotents(self):
         """The a with a·a = a, in order: read from the cell table's diagonal,

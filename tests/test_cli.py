@@ -105,6 +105,21 @@ def test_samples_below_one_exit_2(argv):
     assert "--samples must be at least 1" in report.diagnostics
 
 
+def test_errors_without_an_input_position_name_none(capsys):
+    assert cli.main(["analyze", "carrier", "masks:1x2", "--samples", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", "error: ParseError: --samples must be at least 1, got 0\n")
+    for argv, message in (
+        (["analyze", "ideal", "masks:1x2"], "analyze ideal takes a carrier and a generator"),
+        (["analyze", "carrier", "no-such-carrier.txt"], "no such file: no-such-carrier.txt"),
+        (["verify", "nosuch"], "unknown suite 'nosuch'"),
+        (["analyze", "carrier", "masks:1xq"], "bad carrier shape in 'masks:1xq'"),
+    ):
+        report = run(*argv)
+        assert (report.exit_code, report.payload) == (2, "")
+        assert report.diagnostics == f"error: ParseError: {message}", argv
+
+
 @pytest.mark.parametrize(
     "argv,bound",
     [

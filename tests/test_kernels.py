@@ -459,8 +459,19 @@ def test_matmul_distinct_prime_denominators():
 
 
 def test_lift_clears_each_line_on_its_own():
-    lines = [[Fraction(1, 2), Fraction(3, 4)], [Fraction(5, PRIMES[2]), 7], [1, -2]]
-    assert _lift(lines) == ([[2, 3], [5, 7 * PRIMES[2]], [1, -2]], [4, PRIMES[2], 1])
+    # Q holds every entry as a Fraction, whole ones too
+    lines = [
+        [Fraction(1, 2), Fraction(3, 4)],
+        [Fraction(5, PRIMES[2]), Fraction(7)],
+        [Fraction(1), Fraction(-2)],
+    ]
+    assert _lift(lines, Q) == ([[2, 3], [5, 7 * PRIMES[2]], [1, -2]], [4, PRIMES[2], 1])
+
+
+def test_lift_keeps_integer_lines_over_one():
+    # over Z, Z+ and Z_n every entry is an int and every line's denominator 1
+    for domain in (Z, Z_PLUS, Mod(7)):
+        assert _lift(iter([(3, -4), (0, 5)]), domain) == ([[3, -4], [0, 5]], [1, 1])
 
 
 def _prime_per_line(n, shift):
@@ -513,8 +524,8 @@ def test_pack_round_trip_at_each_field_width(size):
 def _packed_size(a, b):
     """The field size `a @ b` packs with; 0 when it takes the plain kernel."""
     n, k, m = a.shape.rows, a.shape.cols, b.shape.cols
-    rows, _ = _lift(a.values[i * k : (i + 1) * k] for i in range(n))
-    cols, _ = _lift(b.values[j::m] for j in range(m))
+    rows, _ = _lift((a.values[i * k : (i + 1) * k] for i in range(n)), a.domain)
+    cols, _ = _lift((b.values[j::m] for j in range(m)), b.domain)
     return _field_size(rows, cols, m, k)
 
 

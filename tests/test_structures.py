@@ -685,11 +685,18 @@ def test_index_filled_rows_match_products_pair_by_pair(name):
 
 
 @pytest.mark.parametrize(
-    "members",
-    [Carrier.all_matrices(Shape(1, 2), Mod(3)).elements(), Carrier.masks(Shape(1, 2), Z).elements()],
-    ids=["closed", "not-closed"],
+    "members,interned",
+    [
+        (Carrier.all_matrices(Shape(1, 2), Mod(3)).elements(), 9),
+        (Carrier.masks(Shape(1, 2), Z).elements(), 23),
+        # 8 members and 101 elements: every index is one byte
+        (Carrier.masks(Shape(1, 3), Z).elements(), 101),
+        # 16 members and 431 elements: past one byte, the same compare on lists
+        (Carrier.masks(Shape(1, 4), Z).elements(), 431),
+    ],
+    ids=["closed", "not-closed", "bytes", "lists"],
 )
-def test_unassociative_triples_match_a_brute_force_search(members):
+def test_unassociative_triples_match_a_brute_force_search(members, interned):
     # subtraction is not associative, and on masks over Z it leaves the members
     want = [
         (a, b, c)
@@ -697,7 +704,25 @@ def test_unassociative_triples_match_a_brute_force_search(members):
         if (members[a] - members[b]) - members[c] != members[a] - (members[b] - members[c])
     ]
     assert want
-    assert list(_Table(members, Matrix.__sub__).fill().unassociative_triples()) == want
+    table = _Table(members, Matrix.__sub__).fill()
+    assert list(table.unassociative_triples()) == want
+    assert len(table.elements) == interned
+
+
+@pytest.mark.parametrize(
+    "carrier,interned",
+    [(Carrier.masks(Shape(2, 3)), 64), (Carrier.masks(Shape(2, 2), op=ADDITION), 256)],
+    ids=["masks:2x3", "masks:2x2:add"],
+)
+def test_exhaustive_associativity_up_to_the_one_byte_bound(carrier, interned):
+    # masks:2x2:add reaches the entries 0..3 outside the members: 4^4 elements,
+    # the last of them index 255
+    got, want = analyze(carrier), _ref_analyze(carrier, 0)
+    assert got.associativity_mode == "exhaustive"
+    assert got.to_json() == want.to_json() and got.table() == want.table()
+    table = _Table.of(carrier, 1024).fill()
+    assert list(table.unassociative_triples()) == []
+    assert len(table.elements) == interned
 
 
 def test_single_read_walks_compute_each_product_once(monkeypatch):
