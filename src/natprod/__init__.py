@@ -47,14 +47,10 @@ _EXPORTS = {
         "monicize_natural",
         "monicize_usual",
         "parse_poly",
-        "poly_add",
-        "poly_degree",
         "poly_derivative",
         "poly_evaluate_natural",
         "poly_from_json",
         "poly_integrate",
-        "poly_mul_natural",
-        "poly_mul_usual",
         "poly_to_json",
         "render_poly",
         "solve_binomial",
@@ -72,11 +68,9 @@ _EXPORTS = {
         "is_orthogonal",
         "is_prime_row",
         "main_complement",
-        "mat_add",
         "matrix_from_json",
         "matrix_to_json",
         "natural_inverse",
-        "nproduct",
         "ones",
         "parse_literal",
         "parse_matrix",
@@ -84,7 +78,6 @@ _EXPORTS = {
         "support",
         "trivial_idempotent_count",
         "trivial_idempotents",
-        "uproduct",
         "zero_divisor_witness",
         "zeros",
     ),
@@ -96,11 +89,7 @@ _EXPORTS = {
         "Scalar",
         "Z",
         "Z_PLUS",
-        "dom_add",
-        "dom_inv",
-        "dom_mul",
         "domain_from_code",
-        "is_unit",
         "kth_root",
     ),
     "structures": (
@@ -128,11 +117,8 @@ _EXPORTS = {
         "SuperMatrix",
         "parse_super",
         "render_super",
-        "same_type",
-        "super_add",
         "super_from_json",
         "super_inverse",
-        "super_nproduct",
         "super_ones",
         "super_to_json",
     ),

@@ -409,14 +409,6 @@ _DISPATCH = {
 }
 
 
-def verify_suite(name, seed=0, samples=None, fmt="text") -> RunReport:
-    """Run one built-in suite by name; exit code 0 iff every case passed."""
-    argv = ["verify", name, "--seed", str(seed), "--format", fmt]
-    if samples is not None:
-        argv += ["--samples", str(samples)]
-    return run_command(argv)
-
-
 def _shorten_tokens(message, argv):
     """argparse's message with each long argv token shortened, as it is
     shown raw or inside a repr."""

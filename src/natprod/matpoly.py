@@ -343,23 +343,7 @@ def _sum_by_degree(terms):
     return out
 
 
-# -- spec operation surface --------------------------------------------------
-
-
-def poly_add(p: MatPoly, q: MatPoly) -> MatPoly:
-    return p + q
-
-
-def poly_mul_natural(p: MatPoly, q: MatPoly) -> MatPoly:
-    return p * q
-
-
-def poly_mul_usual(p: MatPoly, q: MatPoly) -> MatPoly:
-    return p @ q
-
-
-def poly_degree(p: MatPoly):
-    return p.degree()
+# -- calculus, evaluation and roots ------------------------------------------
 
 
 def poly_derivative(p: MatPoly) -> MatPoly:
@@ -412,11 +396,18 @@ def poly_integrate(p: MatPoly, constant: Matrix | None = None) -> MatPoly:
 
 
 def poly_evaluate_natural(p: MatPoly, x: Matrix) -> Matrix:
-    """Substitute x for the variable, with powers under the natural product."""
+    """Substitute x for the variable, with powers under the natural product.
+
+    x is plain or carries p's partition; the value carries p's partition.
+    """
     if x.shape != p.shape:
         raise ShapeMismatch(f"argument shape {x.shape} differs from {p.shape}")
     if x.domain is not p.domain:
         raise DomainMismatch("argument domain differs")
+    if x.partition is not None:
+        if x.partition != p.ptype:
+            raise TypeMismatch("argument carries another partition")
+        x = x.base
     total = zeros(p.shape, p.domain)
     power = ones(p.shape, p.domain)
     last_deg = 0
@@ -425,7 +416,7 @@ def poly_evaluate_natural(p: MatPoly, x: Matrix) -> Matrix:
             power = power * x
         last_deg = deg
         total = total + coeff * power
-    return total
+    return total.with_partition(p.ptype)
 
 
 def monicize_natural(p: MatPoly) -> MatPoly:

@@ -173,8 +173,11 @@ class Matrix(_Value):
     # -- basic access ----------------------------------------------------
 
     def __getitem__(self, key):
+        """Entry (i, j); each index counts from the end when negative and
+        raises IndexError when outside its own axis."""
         i, j = key
-        return Scalar(self.domain, self.values[i * self.shape.cols + j])
+        rows, cols = self.shape
+        return Scalar(self.domain, self.values[range(rows)[i] * cols + range(cols)[j]])
 
     @property
     def entries(self):
@@ -554,19 +557,7 @@ def diagonal(values, domain: Domain) -> Matrix:
     return Matrix.from_rows(out, domain)
 
 
-# -- spec operation surface ----------------------------------------------
-
-
-def mat_add(a: Matrix, b: Matrix) -> Matrix:
-    return a + b
-
-
-def nproduct(a: Matrix, b: Matrix) -> Matrix:
-    return a * b
-
-
-def uproduct(a: Matrix, b: Matrix) -> Matrix:
-    return a @ b
+# -- entrywise questions ---------------------------------------------------
 
 
 def natural_inverse(a: Matrix) -> Matrix:

@@ -428,22 +428,6 @@ class Scalar(_Value):
         return f"Scalar({self.domain.code}, {self})"
 
 
-def dom_add(a: Scalar, b: Scalar) -> Scalar:
-    return a + b
-
-
-def dom_mul(a: Scalar, b: Scalar) -> Scalar:
-    return a * b
-
-
-def dom_inv(a: Scalar) -> Scalar:
-    return a.inv()
-
-
-def is_unit(a: Scalar) -> bool:
-    return a.is_unit()
-
-
 def _int_root(n, k):
     """Exact nonnegative k-th root of n >= 0, or None."""
     if n < 0:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
-from .errors import NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
+from .errors import DomainMismatch, NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
 from .matrix import (
     DEFAULT_MAX_ELEMENTS,
     Matrix,
@@ -656,7 +656,7 @@ def check_sum(subspaces) -> SumReport:
         if w.shape != shape:
             raise ShapeMismatch("subspaces must share one shape")
         if w.domain is not subspaces[0].domain:
-            raise ShapeMismatch("subspaces must share one domain")
+            raise DomainMismatch("subspaces must share one domain")
     union = SupportMask(shape, [0] * shape.size)
     overlaps = []
     for i, w in enumerate(subspaces):

@@ -10,11 +10,9 @@ from __future__ import annotations
 from .matrix import (
     Matrix,
     PartitionType,
-    mat_add,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
-    nproduct,
     ones,
     parse_literal,
     render_matrix,
@@ -35,11 +33,6 @@ class SuperMatrix:
     __neg__ = Matrix.__neg__
 
 
-def same_type(s: Matrix, t: Matrix) -> bool:
-    """Identical shape, domain and both cut sets."""
-    return s.ptype == t.ptype and s.domain is t.domain
-
-
 def super_ones(ptype: PartitionType, domain) -> Matrix:
     return ones(ptype.shape, domain).with_partition(ptype)
 
@@ -48,6 +41,4 @@ parse_super = parse_literal
 render_super = render_matrix
 super_to_json = matrix_to_json
 super_from_json = matrix_from_json
-super_add = mat_add
-super_nproduct = nproduct
 super_inverse = natural_inverse

@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
+from itertools import chain, repeat
 
 from . import matpoly as mp
 from . import structures as st
@@ -50,7 +52,7 @@ from .matrix import (
     trivial_idempotents,
     zero_divisor_witness,
 )
-from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, dom_inv, dom_mul, is_unit, kth_root
+from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, kth_root
 
 
 @dataclass
@@ -93,8 +95,8 @@ def _case(name):
 @_case("scalar-reciprocal-unit")
 def _scalar_reciprocal():
     a = Scalar(Q, "1/8")
-    _expect(dom_mul(a, Scalar(Q, 8)).value, 1, "1/8 * 8")
-    _expect(dom_inv(a).value, 8, "inv(1/8)")
+    _expect((a * Scalar(Q, 8)).value, 1, "1/8 * 8")
+    _expect(a.inv().value, 8, "inv(1/8)")
 
 
 @_case("scalar-perfect-power-roots")
@@ -105,8 +107,8 @@ def _scalar_roots():
 
 @_case("scalar-sign-units")
 def _scalar_sign_units():
-    _expect(is_unit(Scalar(Z, -1)), True, "-1 a unit over Z")
-    _expect(is_unit(Scalar(Z, 1)), True, "1 a unit over Z")
+    _expect(Scalar(Z, -1).is_unit(), True, "-1 a unit over Z")
+    _expect(Scalar(Z, 1).is_unit(), True, "1 a unit over Z")
 
 
 @_case("square-matrix-addition")
@@ -456,13 +458,13 @@ def _poly_degrees():
         "[3 0;-1 2] + [1 0;0 2] * x^2 + [0 1;0 3] * x^3 + [1 0;4 0] * x^5"
         " + [1 4;0 0] * x^8 + [0 0;1 2] * x^9 + [0 1;5 0] * x^10"
     )
-    _expect(mp.poly_degree(p), 10, "degree of the 2x2 example")
+    _expect(p.degree(), 10, "degree of the 2x2 example")
     q = parse_poly(
         "[3 1 2;0 1 5;0 0 1] + [7 2 1;0 5 7;6 1 2] * x^2"
         " + [2 0 1;0 7 4;0 1 0] * x^4 + [2 1 5;6 7 8;0 1 2] * x^8"
     )
-    _expect(mp.poly_degree(q), 8, "degree of the 3x3 example")
-    _expect(mp.poly_degree(parse_poly("[0 0]")), None, "zero polynomial")
+    _expect(q.degree(), 8, "degree of the 3x3 example")
+    _expect(parse_poly("[0 0]").degree(), None, "zero polynomial")
 
 
 @_case("row-poly-monicize")
@@ -744,122 +746,120 @@ def rand_partition(rng: random.Random, shape) -> PartitionType:
 # ---------------------------------------------------------------------------
 
 
-def _law_case(results, name, failures, total, witness=None):
-    ok = failures == 0
-    detail = f"{total} samples"
-    if not ok:
+def _law_case(results, name, count, law, *fixed):
+    """Append case `name`: `law()` run `count` times, then each of `fixed`
+    once; every call returns the witnesses of the laws it broke."""
+    failures = 0
+    witness = None
+    for check in chain(repeat(law, count), fixed):
+        broken = check()
+        failures += len(broken)
+        if broken and witness is None:
+            witness = broken[0]
+    detail = f"{count + len(fixed)} samples"
+    if failures:
         detail += f", {failures} failures; first: {witness}"
-    results.append(CaseResult(name, ok, detail))
+    results.append(CaseResult(name, not failures, detail))
+
+
+def _ring_laws(rng):
+    shape = rand_shape(rng)
+    a = rand_matrix(rng, shape)
+    b = rand_matrix(rng, shape)
+    c = rand_matrix(rng, shape)
+    j = ones(shape, Q)
+    ok = (
+        a * b == b * a
+        and (a * b) * c == a * (b * c)
+        and a * (b + c) == a * b + a * c
+        and a * j == a
+    )
+    return [] if ok else [(a, b, c)]
+
+
+def _poly_ring_laws(rng):
+    shape = rand_shape(rng, 3, 3)
+    p = rand_poly(rng, shape)
+    q = rand_poly(rng, shape)
+    r = rand_poly(rng, shape)
+    jconst = mp.MatPoly.constant(ones(shape, Q))
+    ok = (
+        p * q == q * p
+        and (p * q) * r == p * (q * r)
+        and p * (q + r) == p * q + p * r
+        and p * jconst == p
+        and (p + q) + r == p + (q + r)
+    )
+    return [] if ok else [(p, q)]
+
+
+def _diagonal_laws(rng):
+    n = rng.randint(1, 6)
+    a = diagonal([rand_fraction(rng) for _ in range(n)], Q)
+    b = diagonal([rand_fraction(rng) for _ in range(n)], Q)
+    return [] if a @ b == a * b else [(a, b)]
+
+
+def _worked_diagonal_laws():
+    m = diagonal([7, 8, 2, 4], Q)
+    n = diagonal([1, 2, 3, 4], Q)
+    ok = m @ n == m * n == diagonal([7, 16, 6, 16], Q)
+    return [] if ok else [(m, n)]
+
+
+def _partition_laws(rng):
+    shape = rand_shape(rng)
+    pt = rand_partition(rng, shape)
+    s = rand_matrix(rng, shape).with_partition(pt)
+    t = rand_matrix(rng, shape).with_partition(pt)
+    broken = []
+    if (s * t).base != s.base * t.base or (s + t).base != s.base + t.base:
+        broken.append((s, t))
+    if (s * t).ptype != pt or (s + t).ptype != pt:
+        broken.append((s, t))
+    return broken
+
+
+def _leibniz_rule(rng):
+    shape = rand_shape(rng, 3, 3)
+    p = rand_poly(rng, shape, max_degree=3)
+    q = rand_poly(rng, shape, max_degree=3)
+    dp, dq = mp.poly_derivative(p), mp.poly_derivative(q)
+    return [] if mp.poly_derivative(p * q) == dp * q + p * dq else [(p, q)]
+
+
+def _calculus_laws(rng):
+    shape = rand_shape(rng, 3, 3)
+    p = rand_poly(rng, shape)
+    c = rand_matrix(rng, shape)
+    broken = []
+    if mp.poly_derivative(mp.poly_integrate(p, c)) != p:
+        broken.append((p, c))
+    p_int = rand_poly(rng, shape, domain=Z)
+    d = mp.poly_derivative(p_int)
+    if d.domain is not Z or any(
+        not isinstance(v, int) for _, coeff in d.terms for v in coeff.values
+    ):
+        broken.append((p_int,))
+    return broken
 
 
 def run_laws(seed=0, samples=10000):
     """Seeded random algebraic-law checks; zero failures expected."""
     results = []
     rng = random.Random(seed)
+    few = max(1, samples // 10)
+    _law_case(results, "natural-product-ring-laws", samples, partial(_ring_laws, rng))
+    _law_case(results, "polynomial-ring-laws", few, partial(_poly_ring_laws, rng))
+    _law_case(
+        results, "diagonal-products-coincide", few, partial(_diagonal_laws, rng),
+        _worked_diagonal_laws,
+    )
+    _law_case(results, "partition-flattening-homomorphism", few, partial(_partition_laws, rng))
+    _law_case(results, "derivative-leibniz-rule", few, partial(_leibniz_rule, rng))
+    _law_case(results, "calculus-closure-and-round-trip", few, partial(_calculus_laws, rng))
 
-    fails = 0
-    witness = None
-    for _ in range(samples):
-        shape = rand_shape(rng)
-        a = rand_matrix(rng, shape)
-        b = rand_matrix(rng, shape)
-        c = rand_matrix(rng, shape)
-        j = ones(shape, Q)
-        ok = (
-            a * b == b * a
-            and (a * b) * c == a * (b * c)
-            and a * (b + c) == a * b + a * c
-            and a * j == a
-        )
-        if not ok:
-            fails += 1
-            witness = witness or (a, b, c)
-    _law_case(results, "natural-product-ring-laws", fails, samples, witness)
-
-    poly_samples = max(1, samples // 10)
-    fails = 0
-    witness = None
-    for _ in range(poly_samples):
-        shape = rand_shape(rng, 3, 3)
-        p = rand_poly(rng, shape)
-        q = rand_poly(rng, shape)
-        r = rand_poly(rng, shape)
-        jconst = mp.MatPoly.constant(ones(shape, Q))
-        ok = (
-            p * q == q * p
-            and (p * q) * r == p * (q * r)
-            and p * (q + r) == p * q + p * r
-            and p * jconst == p
-            and (p + q) + r == p + (q + r)
-        )
-        if not ok:
-            fails += 1
-            witness = witness or (p, q)
-    _law_case(results, "polynomial-ring-laws", fails, poly_samples, witness)
-
-    diag_samples = max(1, samples // 10)
-    fails = 0
-    witness = None
-    for _ in range(diag_samples):
-        n = rng.randint(1, 6)
-        a = diagonal([rand_fraction(rng) for _ in range(n)], Q)
-        b = diagonal([rand_fraction(rng) for _ in range(n)], Q)
-        if a @ b != a * b:
-            fails += 1
-            witness = witness or (a, b)
-    m = diagonal([7, 8, 2, 4], Q)
-    n_ = diagonal([1, 2, 3, 4], Q)
-    if m @ n_ != m * n_ or m @ n_ != diagonal([7, 16, 6, 16], Q):
-        fails += 1
-        witness = witness or (m, n_)
-    _law_case(results, "diagonal-products-coincide", fails, diag_samples + 1, witness)
-
-    fails = 0
-    witness = None
-    for _ in range(diag_samples):
-        shape = rand_shape(rng)
-        pt = rand_partition(rng, shape)
-        s = rand_matrix(rng, shape).with_partition(pt)
-        t = rand_matrix(rng, shape).with_partition(pt)
-        if (s * t).base != s.base * t.base or (s + t).base != s.base + t.base:
-            fails += 1
-            witness = witness or (s, t)
-        if (s * t).ptype != pt or (s + t).ptype != pt:
-            fails += 1
-            witness = witness or (s, t)
-    _law_case(results, "partition-flattening-homomorphism", fails, diag_samples, witness)
-
-    fails = 0
-    witness = None
-    for _ in range(poly_samples):
-        shape = rand_shape(rng, 3, 3)
-        p = rand_poly(rng, shape, max_degree=3)
-        q = rand_poly(rng, shape, max_degree=3)
-        dp, dq = mp.poly_derivative(p), mp.poly_derivative(q)
-        if mp.poly_derivative(p * q) != dp * q + p * dq:
-            fails += 1
-            witness = witness or (p, q)
-    _law_case(results, "derivative-leibniz-rule", fails, poly_samples, witness)
-
-    fails = 0
-    witness = None
-    for _ in range(poly_samples):
-        shape = rand_shape(rng, 3, 3)
-        p = rand_poly(rng, shape)
-        c = rand_matrix(rng, shape)
-        if mp.poly_derivative(mp.poly_integrate(p, c)) != p:
-            fails += 1
-            witness = witness or (p, c)
-        p_int = rand_poly(rng, shape, domain=Z)
-        d = mp.poly_derivative(p_int)
-        if d.domain is not Z or any(
-            not isinstance(v, int) for _, coeff in d.terms for v in coeff.values
-        ):
-            fails += 1
-            witness = witness or (p_int,)
-    _law_case(results, "calculus-closure-and-round-trip", fails, poly_samples, witness)
-
-    cone = st.cone_positivity_check(Shape(2, 3), Q_PLUS, samples=max(1, samples // 10), seed=seed)
+    cone = st.cone_positivity_check(Shape(2, 3), Q_PLUS, samples=few, seed=seed)
     results.append(
         CaseResult(
             "cone-strict-semifield-sampling",
@@ -882,47 +882,48 @@ def _shapes_up_to(max_size):
                 yield Shape(rows, cols)
 
 
-def run_census():
-    """Brute-force counting identities for idempotents and generated ideals."""
-    results = []
+def _census_case(results, name, counts, summary, shown=None):
+    """Append case `name`: `counts` yields (label, count, expected); the
+    detail lists the first `shown` mismatches (all when None), or is
+    `summary` when there are none."""
+    detail = [f"{label}: {n} != {expected}" for label, n, expected in counts if n != expected]
+    results.append(CaseResult(name, not detail, "; ".join(detail[:shown]) or summary))
 
-    ok = True
-    detail = []
+
+def _mask_idempotent_counts():
     for shape in _shapes_up_to(12):
         count = len(st.idempotents_in(st.Carrier.masks(shape)))
-        expected = trivial_idempotent_count(shape)
-        if count != expected:
-            ok = False
-            detail.append(f"{shape}: {count} != {expected}")
-    results.append(
-        CaseResult("mask-idempotent-census", ok, "; ".join(detail) or "all shapes with <= 12 cells")
-    )
+        yield shape, count, trivial_idempotent_count(shape)
 
-    ok = True
-    detail = []
+
+def _modular_idempotent_counts():
     for shape in _shapes_up_to(4):
-        carrier = st.Carrier.all_matrices(shape, Mod(6))
-        count = len(st.idempotents_in(carrier))
-        if count != 4**shape.size:
-            ok = False
-            detail.append(f"{shape}: {count} != {4 ** shape.size}")
-    results.append(
-        CaseResult("modular-idempotent-census", ok, "; ".join(detail) or "Z6 shapes with <= 4 cells")
-    )
+        count = len(st.idempotents_in(st.Carrier.all_matrices(shape, Mod(6))))
+        yield shape, count, 4**shape.size
 
-    ok = True
-    detail = []
+
+def _ideal_orders():
     for rows in (1, 2):
         for cols in (1, 2, 3, 4):
             carrier = st.Carrier.masks((rows, cols))
             for mask_bits, x in enumerate(carrier.elements()):
-                ideal = st.ideal_generated(carrier, x)
-                expected = 1 << x.values.count(1)
-                if ideal.cardinality != expected:
-                    ok = False
-                    detail.append(f"{x.shape} mask {mask_bits}: {ideal.cardinality} != {expected}")
-    results.append(
-        CaseResult("ideal-order-law", ok, "; ".join(detail[:3]) or "shapes up to 2x4, exhaustive")
+                order = st.ideal_generated(carrier, x).cardinality
+                yield f"{x.shape} mask {mask_bits}", order, 1 << x.values.count(1)
+
+
+def run_census():
+    """Brute-force counting identities for idempotents and generated ideals."""
+    results = []
+    _census_case(
+        results, "mask-idempotent-census", _mask_idempotent_counts(),
+        "all shapes with <= 12 cells",
+    )
+    _census_case(
+        results, "modular-idempotent-census", _modular_idempotent_counts(),
+        "Z6 shapes with <= 4 cells",
+    )
+    _census_case(
+        results, "ideal-order-law", _ideal_orders(), "shapes up to 2x4, exhaustive", shown=3
     )
     return results
 

@@ -401,9 +401,7 @@ def test_paper_examples_case_list_is_pinned():
 
 
 def test_verify_suite_function():
-    from natprod.cli import verify_suite
-
-    report = verify_suite("laws", seed=7, samples=100, fmt="json")
+    report = run_command(["verify", "laws", "--seed", "7", "--samples", "100", "--format", "json"])
     assert report.exit_code == 0
     obj = json.loads(report.payload)
     assert obj["failed"] == 0 and obj["suite"] == "laws"

@@ -27,8 +27,8 @@ from natprod import (
     monicize_natural,
     monicize_usual,
     ones,
+    parse_literal,
     parse_poly,
-    poly_degree,
     poly_derivative,
     poly_evaluate_natural,
     poly_from_json,
@@ -144,14 +144,14 @@ def test_leibniz_rule(rng):
 def test_degree_law_both_directions():
     p = _poly((1, [1, 0]), (0, [0, 1]))
     q = _poly((1, [2, 3]))
-    assert poly_degree(p * q) == poly_degree(p) + poly_degree(q)
+    assert (p * q).degree() == p.degree() + q.degree()
     # leads with disjoint supports drop the top degree
     r = _poly((1, [0, 1]), (0, [1, 0]))
-    assert poly_degree(p * r) == 1 < 2
+    assert (p * r).degree() == 1 < 2
 
 
 def test_degree_of_zero_poly():
-    assert poly_degree(MatPoly.zero(Shape(2, 2), Q)) is None
+    assert MatPoly.zero(Shape(2, 2), Q).degree() is None
 
 
 def test_monicize_already_monic():
@@ -239,6 +239,19 @@ def test_evaluate_trivials(rng):
     assert poly_evaluate_natural(p, ones(shape, Q)) == total
     zero = MatPoly.zero(shape, Q)
     assert poly_evaluate_natural(zero, rand_matrix(rng, shape)).is_zero()
+
+
+def test_evaluate_partitioned_polynomial():
+    p = parse_poly("[1 2 | 3] + [1 1 | 1] * x")
+    value = parse_literal("[3 4 | 5]")  # == compares the cuts too
+    assert poly_evaluate_natural(p, parse_literal("[2 2 | 2]")) == value
+    assert poly_evaluate_natural(p, parse_literal("[2 2 2]")) == value
+    with pytest.raises(TypeMismatch):
+        poly_evaluate_natural(p, parse_literal("[2 | 2 2]"))
+    plain = parse_poly("[1 2 3] + [1 1 1] * x")
+    assert poly_evaluate_natural(plain, parse_literal("[2 2 2]")) == value.base
+    with pytest.raises(TypeMismatch):
+        poly_evaluate_natural(plain, parse_literal("[2 2 | 2]"))
 
 
 def test_constant_units_and_idempotents_spot():

@@ -56,6 +56,17 @@ def test_add_contract_errors():
         row([1, 2]) + row([1, 2], Z)
 
 
+def test_getitem_bounds_each_axis_on_its_own():
+    a = sq([[1, 2, 3], [4, 5, 6]], Z)
+    assert [a[i, j].value for i in range(2) for j in range(3)] == [1, 2, 3, 4, 5, 6]
+    assert a[0, -1].value == 3  # row 0's last entry, not the matrix's
+    assert a[-1, 0].value == 4
+    assert a[-2, -3].value == 1
+    for key in [(0, 3), (2, 0), (0, -4), (-3, 0), (1, 3)]:
+        with pytest.raises(IndexError):
+            a[key]
+
+
 def test_nproduct_ones_identity():
     a = sq([[5, -1, 2], [0, 7, 3]], Q)
     assert a * ones(a.shape, Q) == a

@@ -61,7 +61,25 @@ print(len(star))
 def test_star_import_binds_the_public_names():
     proc = subprocess.run([sys.executable, "-c", _STAR], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["110"]
+    assert proc.stdout.split() == ["96"]
+
+
+# one-line function aliases of an operator or method, no longer exported
+RETIRED = {
+    "scalars": ("dom_add", "dom_mul", "dom_inv", "is_unit"),
+    "matrix": ("mat_add", "nproduct", "uproduct"),
+    "matpoly": ("poly_add", "poly_mul_natural", "poly_mul_usual", "poly_degree"),
+    "supermatrix": ("same_type", "super_add", "super_nproduct"),
+    "cli": ("verify_suite",),
+}
+
+
+@pytest.mark.parametrize("module,name", [(m, n) for m, names in RETIRED.items() for n in names])
+def test_retired_aliases_are_gone(module, name):
+    with pytest.raises(AttributeError, match=name):
+        getattr(natprod, name)
+    assert name not in natprod.__all__
+    assert not hasattr(importlib.import_module(f"natprod.{module}"), name)
 
 
 def test_unknown_attribute_raises_attribute_error():

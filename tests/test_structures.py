@@ -10,6 +10,7 @@ from natprod import (
     ADDITION,
     Carrier,
     DIRECT,
+    DomainMismatch,
     MaskSubspace,
     Matrix,
     Mod,
@@ -20,6 +21,7 @@ from natprod import (
     Q,
     Q_PLUS,
     Shape,
+    ShapeMismatch,
     SupportMask,
     TooLarge,
     UnsupportedDomain,
@@ -310,6 +312,14 @@ def test_check_sum_trivials():
     assert overlapping.overlaps[0][:2] == (0, 1)
 
 
+def test_check_sum_refuses_mixed_domains():
+    mask = SupportMask(Shape(2, 2), [1, 1, 1, 1])
+    with pytest.raises(DomainMismatch, match="share one domain"):
+        check_sum([MaskSubspace(mask, Q), MaskSubspace(mask, Z)])
+    with pytest.raises(ShapeMismatch, match="share one shape"):
+        check_sum([MaskSubspace(mask, Q), MaskSubspace(SupportMask(Shape(1, 4), [1] * 4), Q)])
+
+
 def test_cone_positivity():
     report = cone_positivity_check(Shape(1, 4), Q_PLUS, samples=300, seed=1)
     assert report.positive_products_ok
@@ -328,8 +338,6 @@ def test_carrier_explicit_validation():
         Carrier.explicit([])
     with pytest.raises(ValueError):
         Carrier.explicit([row([1], Z), row([1], Z)])
-    from natprod import ShapeMismatch
-
     with pytest.raises(ShapeMismatch):
         Carrier.explicit([row([1], Z), row([1, 2], Z)])
 

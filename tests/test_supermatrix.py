@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from natprod import (
+    DomainMismatch,
     Matrix,
     NotInvertible,
     ParseError,
@@ -21,11 +22,8 @@ from natprod import (
     parse_poly,
     parse_super,
     render_super,
-    same_type,
-    super_add,
     super_from_json,
     super_inverse,
-    super_nproduct,
     super_ones,
     super_to_json,
 )
@@ -38,13 +36,20 @@ def _super(rows, domain=Q, **cuts):
 
 
 def test_same_type_examples():
+    # same type: identical shape, domain and both cut sets, as +, - and * demand
     a = _super([[1, 2, 3, 4, 5]], col_cuts=(2,))
     b = _super([[5, 4, 3, 2, 1]], col_cuts=(2,))
     c = _super([[5, 4, 3, 2, 1]], col_cuts=(3,))
-    assert same_type(a, b)
-    assert not same_type(a, c)
-    assert same_type(a, a)
-    assert not same_type(a, _super([[1, 2, 3, 4, 5]], Z, col_cuts=(2,)))
+    z = _super([[1, 2, 3, 4, 5]], Z, col_cuts=(2,))
+    assert a.ptype == b.ptype and a.domain is b.domain
+    assert a.ptype != c.ptype
+    assert a.ptype == a.ptype and a.domain is a.domain
+    assert a.ptype == z.ptype and a.domain is not z.domain
+    assert (a + b).ptype == a.ptype
+    with pytest.raises(TypeMismatch):
+        a + c
+    with pytest.raises(DomainMismatch):
+        a * z
 
 
 def test_partition_validation():
@@ -59,14 +64,14 @@ def test_partition_validation():
 def test_add_contract():
     a = _super([[1, 2], [3, 4]], row_cuts=(1,))
     b = _super([[5, 6], [7, 8]], row_cuts=(1,))
-    total = super_add(a, b)
+    total = a + b
     assert total.base.rows() == [[6, 8], [10, 12]]
     assert total.ptype == a.ptype
     zero = SuperMatrix.from_rows([[0, 0], [0, 0]], Q, row_cuts=(1,))
     assert a + zero == a
     different = _super([[5, 6], [7, 8]], col_cuts=(1,))
     with pytest.raises(TypeMismatch):
-        super_add(a, different)
+        a + different
     with pytest.raises(ShapeMismatch):
         a + _super([[1, 2]])
 
@@ -74,7 +79,7 @@ def test_add_contract():
 def test_nproduct_contract():
     a = _super([[1, 2], [3, 4]], col_cuts=(1,))
     b = _super([[5, 6], [7, 8]], col_cuts=(1,))
-    prod = super_nproduct(a, b)
+    prod = a * b
     assert prod.base.rows() == [[5, 12], [21, 32]]
     with pytest.raises(TypeMismatch):
         a * _super([[5, 6], [7, 8]], row_cuts=(1,))
