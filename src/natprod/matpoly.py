@@ -210,9 +210,9 @@ class MatPoly(_Value):
         self._check_peer(other)
         a, da = _lift_entries(self)
         b, db = _lift_entries(other)
-        dens = list(map(mul, da, db))
+        dens = list(map(mul, da, db)) if self.domain.is_rational else None
         if _dense(self, other, _PACK_PAIRS_MUL):
-            zero = (0,) * len(dens)
+            zero = (0,) * len(da)
             left, right = _degrees(a, zero), _degrees(b, zero)
             size = _width(min(len(a), len(b)) * _max_abs(left) * _max_abs(right))
             if size:
@@ -242,7 +242,7 @@ class MatPoly(_Value):
         n = self.shape.rows
         a, rd = _lift_lines(self, lambda values, i: values[i * n : (i + 1) * n])
         b, cd = _lift_lines(other, lambda values, j: values[j::n])
-        dens = [r * c for r in rd for c in cd]
+        dens = [r * c for r in rd for c in cd] if self.domain.is_rational else None
         if _dense(self, other, _PACK_PAIRS_MATMUL):
             zero = [[0] * n] * n
             left = [list(chain.from_iterable(rows)) for rows in _degrees(a, zero)]
@@ -412,8 +412,8 @@ def poly_evaluate_natural(p: MatPoly, x: Matrix) -> Matrix:
     power = ones(p.shape, p.domain)
     last_deg = 0
     for deg, coeff in sorted(p._terms.items()):
-        for _ in range(deg - last_deg):
-            power = power * x
+        if deg > last_deg:
+            power = power * x.npow(deg - last_deg)
         last_deg = deg
         total = total + coeff * power
     return total.with_partition(p.ptype)

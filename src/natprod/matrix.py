@@ -293,7 +293,7 @@ class Matrix(_Value):
         n, k, m = self.shape.rows, self.shape.cols, other.shape.cols
         rows, rd = _lift((self.values[i * k : (i + 1) * k] for i in range(n)), self.domain)
         cols, cd = _lift((other.values[j::m] for j in range(m)), self.domain)
-        dens = [r * c for r in rd for c in cd]
+        dens = [r * c for r in rd for c in cd] if self.domain.is_rational else None
         size = _field_size(rows, cols, m, k)
         right = _pack(cols, size) if size else cols
         return _lower(Shape(n, m), self.domain, _int_matmul(rows, right, m, size), dens)
@@ -517,7 +517,8 @@ def _int_matmul(rows, right, fields, size):
 def _lower(shape, domain, ints, dens):
     """The plain matrix of `domain` whose entries are ints[i] / dens[i].
 
-    Every den is 1 unless the domain is Q or Q+; a den may be negative.
+    `dens` is read on Q and Q+ only (None elsewhere, where every den is 1);
+    a den may be negative.
     """
     if domain.is_modular:
         n = domain.modulus

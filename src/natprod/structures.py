@@ -9,9 +9,11 @@ Smarandache witness (a proper subset forming a group of size >= 2).
 Every finite-structure question reads its products from one private
 dense product table, `_Table`: `rows[a][b]` is the index of a·b, and a
 product that leaves the family is an index past its end.  Both
-operations act entrywise, so an enumerated carrier's table is a direct
-power of its one-cell table and is expanded from it by index arithmetic;
-the questions then read whole rows, with no method call per product.
+operations act entrywise, so an enumerated carrier's table (`_Power`) is
+a direct power of its one-cell table, and every product it reads comes
+from that table, with no matrix product past one cell, even when the
+products leave the members.  The questions read whole rows, with no
+method call per product.
 
 Subspaces here are coordinate subspaces described by support masks: the
 matrices orthogonal to x under the natural product are exactly those
@@ -217,41 +219,33 @@ class _Table:
     Members keep their given order as indices 0..n-1 and `rows[a][b]` is
     the index of a·b.  A product outside the members is interned with an
     index >= n: an entry >= n witnesses that the family is not closed, and
-    index equality stays exact.
-
-    Both operations act entrywise, and an enumerated carrier numbers its
-    members by their base-k digits, first entry most significant.  So it
-    is a direct power of its one-cell carrier: when that k-element table
-    `cell` is closed, every row is expanded from it with no matrix
-    product, afresh on each read unless `fill` has kept the whole table
-    (n² entries).  Without `cell`, a row is computed by `apply` once and
-    kept.  `mul` memoises the products of indices >= n.
+    index equality stays exact.  Here a product is `apply` on two matrices,
+    interned by its matrix, and a member's row is kept once computed;
+    `mul` memoises the products of indices >= n.  An enumerated carrier's
+    table is a `_Power`, which computes no matrix product past one cell.
 
     The exhaustive associativity check compares a whole n×n table per
     member, on `bytes` while every interned index fits one byte (at most
     256 elements) and on lists past that; see `unassociative_triples`.
     """
 
-    __slots__ = ("elements", "n", "index", "rows", "cell", "_apply", "_memo")
+    __slots__ = ("elements", "n", "index", "rows", "_apply", "_memo")
 
-    def __init__(self, elements, apply, cell=None):
+    def __init__(self, elements, apply):
         self.elements = list(elements)
         self.n = len(self.elements)
         self.index = {m: i for i, m in enumerate(self.elements)}
         self.rows = [None] * self.n
-        self.cell = cell
         self._apply = apply
         self._memo = {}
 
-    @classmethod
-    def of(cls, carrier, max_elements=DEFAULT_MAX_ELEMENTS):
-        """The table of the carrier's members; an enumerated carrier's
-        one-cell table becomes `cell` when it is closed."""
+    @staticmethod
+    def of(carrier, max_elements=DEFAULT_MAX_ELEMENTS):
+        """The table of the carrier's members."""
         elements, cell = carrier.elements(max_elements), carrier.cell
-        if cell is not None:
-            one = cls([Matrix._make(Shape(1, 1), carrier.domain, (v,)) for v in cell], carrier.apply)
-            cell = one.rows if one.closure_witness() is None else None
-        return cls(elements, carrier.apply, cell)
+        if cell is None:
+            return _Table(elements, carrier.apply)
+        return _Power(elements, _cell_table(carrier, cell), cell.index)
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -264,34 +258,21 @@ class _Table:
         return self.intern(self._apply(self.elements[a], self.elements[b]))
 
     def row(self, a: int) -> list:
-        """The index of a·b for every member b."""
-        row, cell = self.rows[a], self.cell
-        if row is not None:
-            return row
-        if cell is None:
+        """The index of a·b for every member b; a member's row is kept."""
+        if a >= self.n:
+            return [self.mul(a, b) for b in range(self.n)]
+        row = self.rows[a]
+        if row is None:
             row = self.rows[a] = [self.product(a, b) for b in range(self.n)]
-            return row
-        # the digits of a, least significant first, pick the cell rows
-        row, size = [0], 1
-        while size < self.n:
-            a, d = divmod(a, len(cell))
-            row = [c * size + x for c in cell[d] for x in row]
-            size *= len(cell)
         return row
+
+    def column(self, b: int) -> list:
+        """The index of a·b for every member a."""
+        return [self.mul(a, b) for a in range(self.n)]
 
     def fill(self):
         """Keep every row (n² entries); returns the table."""
-        cell = self.cell
-        if cell is None:
-            self.rows = [self.row(a) for a in range(self.n)]
-            return self
-        # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
-        rows, size = [[0]], 1
-        while size < self.n:
-            scaled = [[c * size for c in hi] for hi in cell]
-            rows = [[c + x for c in hi for x in lo] for hi in scaled for lo in rows]
-            size *= len(cell)
-        self.rows = rows
+        self.rows = [self.row(a) for a in range(self.n)]
         return self
 
     def mul(self, a: int, b: int) -> int:
@@ -305,8 +286,6 @@ class _Table:
 
     def closure_witness(self):
         """The first pair (a, b) whose product leaves the members, or None."""
-        if self.cell is not None:
-            return None  # a direct power of a closed table is closed
         n = self.n
         for a in range(n):
             row = self.row(a)
@@ -336,8 +315,9 @@ class _Table:
         divmod(i, n).
         """
         n, outside = self.n, range(self.n, len(self.elements))
-        rows = self.rows + [[self.mul(k, c) for c in range(n)] for k in outside]
-        picks = [ra + [self.mul(a, k) for k in outside] for a, ra in enumerate(self.rows)]
+        rows = self.rows + [self.row(k) for k in outside]
+        columns = [self.column(k) for k in outside]
+        picks = [ra + [col[a] for col in columns] for a, ra in enumerate(self.rows)]
         if len(self.elements) <= 256:  # every index is one byte
             lines, join = list(map(bytes, rows)), b"".join
 
@@ -357,16 +337,8 @@ class _Table:
                 yield from ((a, *divmod(i, n)) for i, k in enumerate(left) if k != right[i])
 
     def idempotents(self):
-        """The a with a·a = a, in order: read from the cell table's diagonal,
-        from kept rows, or else computed."""
-        cell = self.cell
-        if cell is None:
-            diagonal = [self.product(a, a) if r is None else r[a] for a, r in enumerate(self.rows)]
-        else:
-            diagonal, size = [0], 1
-            while size < self.n:
-                diagonal = [cell[d][d] * size + x for d in range(len(cell)) for x in diagonal]
-                size *= len(cell)
+        """The a with a·a = a, in order: read from kept rows, or else computed."""
+        diagonal = [self.product(a, a) if r is None else r[a] for a, r in enumerate(self.rows)]
         return [a for a, d in enumerate(diagonal) if a == d]
 
     def members(self, indices):
@@ -396,7 +368,7 @@ class _Table:
 
         def group(e):
             candidates = [a for a in range(n) if row(a)[e] == a]
-            return [a for a in candidates if any(row(a)[b] == e for b in candidates)]
+            return [a for a in candidates if e in map(row(a).__getitem__, candidates)]
 
         return [(e, group(e)) for e in order]
 
@@ -419,6 +391,130 @@ class _Table:
         return None
 
 
+class _Digits(dict):
+    """Digit tuple -> index in a `_Power` table, filled on first sight: a
+    member's base-k value, or else the next index, with the digits kept in
+    `outside` and the matrix appended to the table's `elements`.  It holds
+    no reference to the table, so dropping a table frees it at once."""
+
+    __slots__ = ("cell", "elements", "outside")
+
+    def __init__(self, cell, elements):
+        super().__init__()
+        self.cell, self.elements, self.outside = cell, elements, []
+
+    def __missing__(self, digits):
+        cell, base = self.cell.elements, self.cell.n
+        if max(digits) < base:
+            k = 0
+            for d in digits:
+                k = k * base + d
+        else:
+            self.outside.append(digits)
+            first = self.elements[0]
+            values = tuple([cell[d].values[0] for d in digits])
+            self.elements.append(Matrix._make(first.shape, first.domain, values))
+            k = len(self.elements) - 1
+        self[digits] = k
+        return k
+
+
+class _Power(_Table):
+    """The table of an enumerated carrier: a direct power of its one-cell table.
+
+    Both operations act entrywise, and member a is the base-k value of its
+    digits, first entry most significant, a value's digit being its
+    position in `Carrier.cell`.  So every product comes from the one-cell
+    table `cell`, whose `mul` interns a value outside the k as a digit
+    >= k; an element outside the members is interned by its digits.  The
+    row of a is the product of the cell rows of its digits: base-k
+    arithmetic when `cell` is closed, computed afresh on each read unless
+    `fill` has kept the table (n² entries); otherwise digit tuples mapped
+    to indices, kept.
+    """
+
+    __slots__ = ("cell", "place", "closed")
+
+    def __init__(self, elements, cell, place):
+        self.elements = list(elements)
+        self.n = len(self.elements)
+        self.index = _Digits(cell, self.elements)
+        self.rows = [None] * self.n
+        self._memo = {}
+        self.cell, self.place = cell, place
+        self.closed = cell.closure_witness() is None
+
+    def digits(self, a: int):
+        """Element a's digits, first entry first."""
+        if a >= self.n:
+            return self.index.outside[a - self.n]
+        digits, k = [], self.cell.n
+        for _ in self.elements[0].values:
+            a, d = divmod(a, k)
+            digits.append(d)
+        return digits[::-1]
+
+    def intern(self, m: Matrix) -> int:
+        """The index of m, whose entries are cell values."""
+        return self.index[tuple(map(self.place, m.values))]
+
+    def product(self, a: int, b: int) -> int:
+        return self.index[tuple(map(self.cell.mul, self.digits(a), self.digits(b)))]
+
+    def row(self, a: int) -> list:
+        row = self.rows[a] if a < self.n else None
+        if row is not None:
+            return row
+        cell = self.cell
+        lines = [cell.row(d) for d in self.digits(a)]
+        if not self.closed:
+            row = [self.index[t] for t in itertools.product(*lines)]
+            if a < self.n:
+                self.rows[a] = row
+            return row
+        row, size = [0], 1
+        for line in reversed(lines):
+            row = [c * size + x for c in line for x in row]
+            size *= cell.n
+        return row
+
+    def column(self, b: int) -> list:
+        cell = self.cell
+        lines = [[cell.mul(e, d) for e in range(cell.n)] for d in self.digits(b)]
+        return [self.index[t] for t in itertools.product(*lines)]
+
+    def fill(self):
+        if not self.closed:
+            return super().fill()
+        # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
+        cell, rows, size = self.cell.rows, [[0]], 1
+        while size < self.n:
+            scaled = [[c * size for c in hi] for hi in cell]
+            rows = [[c + x for c in hi for x in lo] for hi in scaled for lo in rows]
+            size *= len(cell)
+        self.rows = rows
+        return self
+
+    def closure_witness(self):
+        # a direct power of a closed table is closed
+        return None if self.closed else super().closure_witness()
+
+    def idempotents(self):
+        """a·a = a exactly when every digit d of a has d·d = d in `cell`."""
+        cell, idempotents, size = self.cell, [0], 1
+        fixed = [d for d in range(cell.n) if cell.row(d)[d] == d]
+        for _ in self.elements[0].values:
+            idempotents = [d * size + x for d in fixed for x in idempotents]
+            size *= cell.n
+        return idempotents
+
+
+def _cell_table(carrier, values):
+    """The table of the 1×1 matrices of `values` under the carrier's operation."""
+    one = Shape(1, 1)
+    return _Table([Matrix._make(one, carrier.domain, (v,)) for v in values], carrier.apply)
+
+
 def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
     """Full structural census of a finite carrier.
 
@@ -437,13 +533,16 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
     if n > ASSOC_EXHAUSTIVE_LIMIT:
         rng = random.Random(seed)
         mode = f"sampled({samples})"
-        triples = (tuple(rng.choice(idx) for _ in range(3)) for _ in range(samples))
+        draws = [rng.choice(idx) for _ in range(3 * samples)]
+        triples = zip(draws[::3], draws[1::3], draws[2::3])
     else:
         mode = "exhaustive"
         triples = table.unassociative_triples()
-    associativity_witness = next(
-        ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c))), None
-    )
+    if closed:  # every product is a member: read it from the rows
+        broken = ((a, b, c) for a, b, c in triples if rows[rows[a][b]][c] != rows[a][rows[b][c]])
+    else:
+        broken = ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c)))
+    associativity_witness = next(broken, None)
 
     every = list(idx)
     identity = next(
@@ -516,9 +615,9 @@ def ideal_generated(carrier: Carrier, x: Matrix):
         raise UnsupportedDomain("ideals are computed under the natural product")
     table = _Table.of(carrier)
     elements, n = table.elements, table.n
-    g = table.index.get(x)
-    if g is None:
+    if x not in carrier:
         raise NotMember(f"{render_matrix(x)} is not a carrier member")
+    g = table.intern(x)
     inside, todo = {g}, [g]
     for f in todo:
         row = table.row(f)
@@ -558,14 +657,24 @@ def _members(carrier: Carrier, subset):
 
 
 def is_subsemigroup(carrier: Carrier, subset):
-    """Is the subset of carrier members closed under the carrier operation?"""
-    return _Table(_members(carrier, subset), carrier.apply).closure_witness() is None
+    """Is the subset of carrier members closed under the carrier operation?
+
+    The products of an enumerated carrier's members, which need not be
+    enumerable, come from the one-cell table of the values they hold.
+    """
+    members = _members(carrier, subset)
+    if carrier.cell is None:
+        return _Table(members, carrier.apply).closure_witness() is None
+    values = list(dict.fromkeys(v for m in members for v in m.values))
+    cell = _cell_table(carrier, values)
+    inside = {tuple(map(values.index, m.values)) for m in members}
+    return all(tuple(map(cell.mul, a, b)) in inside for a in inside for b in inside)
 
 
 def is_ideal(carrier: Carrier, subset):
     """Does the subset of carrier members absorb multiplication by every member?"""
     table = _Table.of(carrier)
-    inside = {table.index[m] for m in _members(carrier, subset)}
+    inside = {table.intern(m) for m in _members(carrier, subset)}
     return all(inside.issuperset(table.row(a)) for a in inside)
 
 

@@ -241,6 +241,32 @@ def test_evaluate_trivials(rng):
     assert poly_evaluate_natural(zero, rand_matrix(rng, shape)).is_zero()
 
 
+def _ref_evaluate(p, x):
+    """One natural product per degree step, the loop evaluation replaced."""
+    total, power, last = ones(p.shape, p.domain).scale(0), ones(p.shape, p.domain), 0
+    for deg, coeff in sorted(p.terms):
+        for _ in range(deg - last):
+            power = power * x
+        last = deg
+        total = total + coeff * power
+    return total
+
+
+@pytest.mark.parametrize(
+    "terms,x,domain",
+    [
+        ([(20000, [1, 1])], [1, -1], Z),
+        ([(0, [1, 2]), (37, [2, -1]), (500, [1, 1]), (1999, [-3, 5])], [Fraction(-1, 2), 2], Q),
+        ([(3, [1, 6]), (1024, [2, 2]), (4097, [5, 1])], [3, 5], Mod(7)),
+    ],
+    ids=["Z", "Q", "Zn:7"],
+)
+def test_evaluate_sparse_high_degree(terms, x, domain):
+    p = _poly(*terms, domain=domain)
+    x = row(x, domain)
+    assert poly_evaluate_natural(p, x) == _ref_evaluate(p, x)
+
+
 def test_evaluate_partitioned_polynomial():
     p = parse_poly("[1 2 | 3] + [1 1 | 1] * x")
     value = parse_literal("[3 4 | 5]")  # == compares the cuts too

@@ -585,6 +585,10 @@ REFERENCE_CARRIERS = {
     # a closed one-cell table under addition, and one that is not (1 + 1 = 2)
     "masks:1x3:Zn:2:add": Carrier.masks(Shape(1, 3), Mod(2), op=ADDITION),
     "masks:1x3:add": Carrier.masks(Shape(1, 3), op=ADDITION),
+    # an open one-cell table over Z, and one past 64 members: sampled triples
+    # whose products leave the members
+    "masks:1x3:Z:add": Carrier.masks(Shape(1, 3), Z, op=ADDITION),
+    "masks:1x7:add": Carrier.masks(Shape(1, 7), op=ADDITION),
 }
 
 
@@ -685,8 +689,8 @@ def test_index_filled_rows_match_products_pair_by_pair(name):
     want = [[index.setdefault(carrier.apply(a, b), len(index)) for b in elements] for a in elements]
     closed = all(k < n for row in want for k in row)
     fresh = _Table.of(carrier)
-    # the one-cell table is kept exactly when the carrier, its direct power, is closed
-    assert (fresh.cell is not None) == closed
+    # the carrier, a direct power of its one-cell table, is closed exactly when that table is
+    assert (fresh.cell.closure_witness() is None) == fresh.closed == closed
     assert [fresh.row(a) for a in range(n)] == want
     assert fresh.idempotents() == [a for a in range(n) if want[a][a] == a]
     assert _Table.of(carrier).fill().rows == want
@@ -768,3 +772,33 @@ def test_single_read_walks_compute_each_product_once(monkeypatch):
         calls.clear()
         idempotents_in(carrier)
         assert len(calls) == n and len(set(calls)) == n
+
+
+def test_enumerated_carriers_compute_no_product_past_one_cell(monkeypatch):
+    shapes = []
+
+    def counting(op):
+        def wrapped(a, b):
+            shapes.append(a.shape)
+            return op(a, b)
+
+        return wrapped
+
+    monkeypatch.setattr(Matrix, "__add__", counting(Matrix.__add__))
+    monkeypatch.setattr(Matrix, "__mul__", counting(Matrix.__mul__))
+    # masks:2x2:add leaves its members (1 + 1 = 2) and interns 256 elements
+    carrier = Carrier.masks(Shape(2, 2), op=ADDITION)
+    elements = carrier.elements()
+    questions = [
+        lambda: analyze(carrier),
+        lambda: idempotents_in(carrier),
+        lambda: is_smarandache(carrier),
+        lambda: is_subsemigroup(carrier, elements[::3]),
+        lambda: is_ideal(carrier, elements[:1]),
+    ]
+    closed = Carrier.masks(Shape(2, 3))
+    questions += [lambda: analyze(closed), lambda: ideal_generated(closed, closed.elements()[9])]
+    for question in questions:
+        shapes.clear()
+        question()
+        assert shapes and set(shapes) == {Shape(1, 1)}
