@@ -8,12 +8,15 @@ Smarandache witness (a proper subset forming a group of size >= 2).
 
 Every finite-structure question reads its products from one private
 dense product table, `_Table`: `rows[a][b]` is the index of a·b, and a
-product that leaves the family is an index past its end.  Both
-operations act entrywise, so an enumerated carrier's table (`_Power`) is
-a direct power of its one-cell table, and every product it reads comes
-from that table, with no matrix product past one cell, even when the
-products leave the members.  The questions read whole rows, with no
-method call per product.
+product that leaves the family is an index past its end.  The questions
+read whole rows, with no method call per product.  Both operations act
+entrywise, so an enumerated carrier S^k is a direct power of its
+one-cell carrier S, and its table (`_Power`) reads every product from
+the one-cell table, with no matrix product past one cell, even when the
+products leave the members.  Its idempotents, the ideal of a member and
+its maximal subgroups are products of the cell's, and a member's matrix
+is built only when an answer reports it.  An explicit carrier answers
+them by walking its rows.
 
 Subspaces here are coordinate subspaces described by support masks: the
 matrices orthogonal to x under the natural product are exactly those
@@ -26,7 +29,7 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, partial
 
 from .errors import DomainMismatch, NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
 from .matrix import (
@@ -37,7 +40,6 @@ from .matrix import (
     _shape,
     render_matrix,
     support,
-    zeros,
 )
 from .scalars import Domain, Z_PLUS, _Value
 
@@ -102,20 +104,23 @@ class Carrier(_Value):
 
     def elements(self, max_elements=DEFAULT_MAX_ELEMENTS):
         """Members in canonical (row-major lexicographic) order."""
-        cell, shape = self.cell, self.shape
-        # An enumerated carrier has at least 2^size members: sizes from the
-        # bound's bit length up are refused before any power is computed.
-        if (
-            cell is not None and shape.size >= max_elements.bit_length()
-        ) or self.cardinality() > max_elements:
-            raise TooLarge(
-                f"{self.kind} carrier of shape {shape} has more than "
-                f"{max_elements} elements"
-            )
+        self._enumerable(max_elements)
+        cell = self.cell
         if cell is None:
             return tuple(sorted(self.members, key=lambda m: m.values))
-        values = itertools.product(cell, repeat=shape.size)
-        return tuple(Matrix._make(shape, self.domain, v) for v in values)
+        return _matrices(self.shape, self.domain, [cell] * self.shape.size)
+
+    def _enumerable(self, max_elements):
+        """The number of members, or TooLarge past `max_elements`.  An
+        enumerated carrier has at least 2^size members: sizes from the
+        bound's bit length up are refused before any power is computed."""
+        if self.cell is None or self.shape.size < max_elements.bit_length():
+            n = self.cardinality()
+            if n <= max_elements:
+                return n
+        raise TooLarge(
+            f"{self.kind} carrier of shape {self.shape} has more than {max_elements} elements"
+        )
 
     def __contains__(self, m):
         """Membership without enumerating the carrier.  An enumerated
@@ -222,7 +227,8 @@ class _Table:
     index equality stays exact.  Here a product is `apply` on two matrices,
     interned by its matrix, and a member's row is kept once computed;
     `mul` memoises the products of indices >= n.  An enumerated carrier's
-    table is a `_Power`, which computes no matrix product past one cell.
+    table is a `_Power`, which computes no matrix product past one cell
+    and builds no member matrix up front.
 
     The exhaustive associativity check compares a whole n×n table per
     member, on `bytes` while every interned index fits one byte (at most
@@ -242,10 +248,11 @@ class _Table:
     @staticmethod
     def of(carrier, max_elements=DEFAULT_MAX_ELEMENTS):
         """The table of the carrier's members."""
-        elements, cell = carrier.elements(max_elements), carrier.cell
+        cell = carrier.cell
         if cell is None:
-            return _Table(elements, carrier.apply)
-        return _Power(elements, _cell_table(carrier, cell), cell.index)
+            return _Table(carrier.elements(max_elements), carrier.apply)
+        n = carrier._enumerable(max_elements)
+        return _Power(carrier, n, _cell_table(carrier, cell))
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -317,7 +324,9 @@ class _Table:
         n, outside = self.n, range(self.n, len(self.elements))
         rows = self.rows + [self.row(k) for k in outside]
         columns = [self.column(k) for k in outside]
-        picks = [ra + [col[a] for col in columns] for a, ra in enumerate(self.rows)]
+        picks = self.rows
+        if columns:
+            picks = [ra + [col[a] for col in columns] for a, ra in enumerate(picks)]
         if len(self.elements) <= 256:  # every index is one byte
             lines, join = list(map(bytes, rows)), b"".join
 
@@ -332,7 +341,7 @@ class _Table:
 
         table = join(lines[:n])
         for a, ra in enumerate(picks):
-            left, right = join([lines[k] for k in ra[:n]]), image(ra)
+            left, right = join(map(lines.__getitem__, ra[:n])), image(ra)
             if left != right:
                 yield from ((a, *divmod(i, n)) for i, k in enumerate(left) if k != right[i])
 
@@ -342,9 +351,28 @@ class _Table:
         return [a for a, d in enumerate(diagonal) if a == d]
 
     def members(self, indices):
-        return None if indices is None else tuple(self.elements[i] for i in indices)
+        return None if indices is None else tuple(map(self.elements.__getitem__, indices))
 
-    def h_classes(self, idempotents, closed):
+    def ideal(self, g: int) -> tuple:
+        """The members of the smallest ideal holding g, in order.  The walk
+        reads the row of each ideal member once; NotMember when a product
+        leaves the members."""
+        elements, n = self.elements, self.n
+        inside, todo = {g}, [g]
+        for f in todo:
+            row = self.row(f)
+            if max(row) >= n:
+                s = next(s for s, k in enumerate(row) if k >= n)
+                raise NotMember(
+                    f"{render_matrix(elements[f])} * {render_matrix(elements[s])} = "
+                    f"{render_matrix(elements[row[s]])} is not a carrier member"
+                )
+            fresh = [k for k in dict.fromkeys(row) if k not in inside]
+            inside.update(fresh)
+            todo += fresh
+        return self.members(sorted(inside))
+
+    def h_classes(self, closed):
         """(e, maximal subgroup at e) per idempotent, full support first.
 
         Both operations commute, so the group at e holds the a with a·e = a
@@ -354,7 +382,7 @@ class _Table:
         only.  Powers may leave a table that is not closed, so there the
         inverses are searched for.
         """
-        n, row = self.n, self.row
+        n, row, idempotents = self.n, self.row, self.idempotents()
         order = sorted(idempotents, key=lambda i: (self.elements[i].values.count(0), i))
         if closed:
             groups = {e: [] for e in idempotents}
@@ -397,26 +425,30 @@ class _Digits(dict):
     `outside` and the matrix appended to the table's `elements`.  It holds
     no reference to the table, so dropping a table frees it at once."""
 
-    __slots__ = ("cell", "elements", "outside")
+    __slots__ = ("cell", "shape", "domain", "elements", "outside")
 
-    def __init__(self, cell, elements):
+    def __init__(self, cell, shape, domain, elements):
         super().__init__()
-        self.cell, self.elements, self.outside = cell, elements, []
+        self.cell, self.shape, self.domain = cell, shape, domain
+        self.elements, self.outside = elements, []
 
     def __missing__(self, digits):
-        cell, base = self.cell.elements, self.cell.n
+        base = self.cell.n
         if max(digits) < base:
             k = 0
             for d in digits:
                 k = k * base + d
         else:
             self.outside.append(digits)
-            first = self.elements[0]
-            values = tuple([cell[d].values[0] for d in digits])
-            self.elements.append(Matrix._make(first.shape, first.domain, values))
+            self.elements.append(self.matrix(digits))
             k = len(self.elements) - 1
         self[digits] = k
         return k
+
+    def matrix(self, digits):
+        """The element whose entries are the cell values of these digits."""
+        cell = self.cell.elements
+        return Matrix._make(self.shape, self.domain, tuple([cell[d].values[0] for d in digits]))
 
 
 class _Power(_Table):
@@ -431,17 +463,23 @@ class _Power(_Table):
     arithmetic when `cell` is closed, computed afresh on each read unless
     `fill` has kept the table (n² entries); otherwise digit tuples mapped
     to indices, kept.
+
+    An answer that is a product of cell answers, one digit set per
+    position, is read from `cell`: the idempotents (`idempotents_in`), the
+    ideal of a member and the maximal subgroups.  A member's matrix is
+    built only when reported: `members` builds the indices it is given,
+    `matrices` a product of digit sets, and `fill` all n at once.
     """
 
-    __slots__ = ("cell", "place", "closed")
+    __slots__ = ("cell", "values", "size", "closed")
 
-    def __init__(self, elements, cell, place):
-        self.elements = list(elements)
-        self.n = len(self.elements)
-        self.index = _Digits(cell, self.elements)
-        self.rows = [None] * self.n
+    def __init__(self, carrier, n, cell):
+        self.elements = [None] * n
+        self.n = n
+        self.index = _Digits(cell, carrier.shape, carrier.domain, self.elements)
+        self.rows = [None] * n
         self._memo = {}
-        self.cell, self.place = cell, place
+        self.cell, self.values, self.size = cell, carrier.cell, carrier.shape.size
         self.closed = cell.closure_witness() is None
 
     def digits(self, a: int):
@@ -449,14 +487,14 @@ class _Power(_Table):
         if a >= self.n:
             return self.index.outside[a - self.n]
         digits, k = [], self.cell.n
-        for _ in self.elements[0].values:
+        for _ in range(self.size):
             a, d = divmod(a, k)
             digits.append(d)
         return digits[::-1]
 
     def intern(self, m: Matrix) -> int:
         """The index of m, whose entries are cell values."""
-        return self.index[tuple(map(self.place, m.values))]
+        return self.index[tuple(map(self.values.index, m.values))]
 
     def product(self, a: int, b: int) -> int:
         return self.index[tuple(map(self.cell.mul, self.digits(a), self.digits(b)))]
@@ -483,7 +521,23 @@ class _Power(_Table):
         lines = [[cell.mul(e, d) for e in range(cell.n)] for d in self.digits(b)]
         return [self.index[t] for t in itertools.product(*lines)]
 
+    def members(self, indices):
+        """Builds the members it is given, unless `fill` has built all n."""
+        if indices is not None and self.elements[0] is None:
+            return tuple(map(self.index.matrix, map(self.digits, indices)))
+        return _Table.members(self, indices)
+
+    def matrices(self, sets) -> tuple:
+        """The members whose digit at each position lies in that position's
+        set, in order."""
+        values = self.values
+        return _matrices(
+            self.index.shape, self.index.domain, [[values[d] for d in sorted(s)] for s in sets]
+        )
+
     def fill(self):
+        index = self.index
+        self.elements[: self.n] = _matrices(index.shape, index.domain, [self.values] * self.size)
         if not self.closed:
             return super().fill()
         # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
@@ -499,14 +553,49 @@ class _Power(_Table):
         # a direct power of a closed table is closed
         return None if self.closed else super().closure_witness()
 
-    def idempotents(self):
-        """a·a = a exactly when every digit d of a has d·d = d in `cell`."""
-        cell, idempotents, size = self.cell, [0], 1
-        fixed = [d for d in range(cell.n) if cell.row(d)[d] == d]
-        for _ in self.elements[0].values:
-            idempotents = [d * size + x for d in fixed for x in idempotents]
+    def ideal(self, g: int) -> tuple:
+        """S^k·g, the product over g's digits d of the cell ideals S·d.  Each
+        cell holds 1, so S·d holds d, and the cell is closed under `*`, so
+        no product leaves the carrier."""
+        row = self.cell.row
+        return self.matrices([set(row(d)) for d in self.digits(g)])
+
+    def h_classes(self, closed):
+        """The group at e is the product of the cell groups at e's digits,
+        for a closed cell and an open one alike.  Each idempotent e is built
+        digit by digit, last position first, as the key (zero entries)·n + e,
+        so sorting the keys gives the order; its group is built alongside as
+        offsets from e, and a position whose cell group is its digit alone
+        adds no work there."""
+        cell, n = self.cell, self.n
+        groups = [
+            (d, cell.elements[d].values.count(0) * n, [c - d for c in h])
+            for d, h in cell.h_classes(closed)
+        ]
+        classes, size = [(0, [0])], 1  # (key, offsets from e) over a suffix
+        for _ in range(self.size):
+            classes = [
+                (
+                    key + zeros + d * size,
+                    tail if len(shift) == 1 else [s * size + x for s in shift for x in tail],
+                )
+                for d, zeros, shift in groups
+                for key, tail in classes
+            ]
             size *= cell.n
-        return idempotents
+        classes.sort()
+        subgroups = []
+        for key, tail in classes:
+            e = key % n
+            subgroups.append((e, [e] if len(tail) == 1 else [e + x for x in tail]))
+        return subgroups
+
+
+def _matrices(shape, domain, values):
+    """The matrices whose entry at each position ranges over that
+    position's values (canonical for the domain), in row-major
+    lexicographic order."""
+    return tuple(map(partial(Matrix._make, shape, domain), itertools.product(*values)))
 
 
 def _cell_table(carrier, values):
@@ -520,7 +609,8 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
 
     Associativity is exhaustive up to 64 elements and seeded-sampled
     above; every negative finding carries a concrete counterexample.
-    Every question reads the filled table, n² entries.
+    Every law reads the filled table, n² entries; an enumerated carrier
+    reads its idempotents and maximal subgroups from its cell.
     """
     table = _Table.of(carrier, ANALYZE_MAX_ELEMENTS).fill()
     elements, rows, n, mul, members = table.elements, table.rows, table.n, table.mul, table.members
@@ -533,7 +623,7 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
     if n > ASSOC_EXHAUSTIVE_LIMIT:
         rng = random.Random(seed)
         mode = f"sampled({samples})"
-        draws = [rng.choice(idx) for _ in range(3 * samples)]
+        draws = rng.choices(idx, k=3 * samples)
         triples = zip(draws[::3], draws[1::3], draws[2::3])
     else:
         mode = "exhaustive"
@@ -549,11 +639,14 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         (e for e in idx if rows[e] == every and all(row[e] == a for a, row in enumerate(rows))),
         None,
     )
-    idempotents = table.idempotents()
+    subgroups = table.h_classes(closed)
+    # each idempotent is the identity of exactly one maximal subgroup
+    idempotents = sorted(e for e, _ in subgroups)
 
     zero_divisor_pairs = ()
     if carrier.op == NATURAL_PRODUCT:
-        zero = table.intern(zeros(carrier.shape, carrier.domain))
+        shape, domain = carrier.shape, carrier.domain
+        zero = table.intern(Matrix._make(shape, domain, (domain.zero,) * shape.size))
         zero_divisor_pairs = tuple(
             (elements[a], elements[b])
             for a, row in enumerate(rows)
@@ -561,7 +654,6 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
             for b in _positions(row, zero)
             if b != zero
         )
-    subgroups = table.h_classes(idempotents, closed)
 
     return StructureReport(
         carrier=carrier,
@@ -592,9 +684,12 @@ def _positions(row, value):
 
 
 def idempotents_in(carrier: Carrier):
-    """All e with e ∘ e = e, in canonical order."""
+    """All e with e ∘ e = e, in canonical order: on an enumerated carrier,
+    every matrix of the cell's idempotents."""
     table = _Table.of(carrier)
-    return table.members(table.idempotents())
+    if carrier.cell is None:
+        return table.members(table.idempotents())
+    return table.matrices([table.cell.idempotents()] * table.size)
 
 
 @dataclass(frozen=True)
@@ -608,29 +703,17 @@ def ideal_generated(carrier: Carrier, x: Matrix):
 
     The carrier must be a semigroup under the natural product; for mask
     carriers the result is the down-set of x's support, of size
-    2^popcount(support(x)).  A product that leaves the carrier raises
-    NotMember.  The walk reads the row of each ideal member once.
+    2^popcount(support(x)).  An enumerated carrier reads it from its cell:
+    every matrix whose entries lie in the cell ideals of x's entries.  An
+    explicit carrier walks it, reading the row of each ideal member once,
+    and a product that leaves the carrier raises NotMember.
     """
     if carrier.op != NATURAL_PRODUCT:
         raise UnsupportedDomain("ideals are computed under the natural product")
     table = _Table.of(carrier)
-    elements, n = table.elements, table.n
     if x not in carrier:
         raise NotMember(f"{render_matrix(x)} is not a carrier member")
-    g = table.intern(x)
-    inside, todo = {g}, [g]
-    for f in todo:
-        row = table.row(f)
-        if max(row) >= n:
-            s = next(s for s, k in enumerate(row) if k >= n)
-            raise NotMember(
-                f"{render_matrix(elements[f])} * {render_matrix(elements[s])} = "
-                f"{render_matrix(elements[row[s]])} is not a carrier member"
-            )
-        fresh = [k for k in dict.fromkeys(row) if k not in inside]
-        inside.update(fresh)
-        todo += fresh
-    members = table.members(sorted(inside))
+    members = table.ideal(table.intern(x))
     return GeneratedIdeal(members, len(members))
 
 
@@ -639,11 +722,13 @@ def is_smarandache(carrier: Carrier):
 
     Searches the maximal subgroup at each idempotent, full-support
     idempotents first (the largest subgroup sits at the identity when
-    there is one); singleton groups never certify.
+    there is one); singleton groups never certify.  On an enumerated
+    carrier each subgroup is a product of cell groups, and only the
+    witness's matrices are built.
     """
     table = _Table.of(carrier)
     closed = table.closure_witness() is None
-    return table.members(table.smarandache(table.h_classes(table.idempotents(), closed)))
+    return table.members(table.smarandache(table.h_classes(closed)))
 
 
 def _members(carrier: Carrier, subset):

@@ -477,8 +477,8 @@ def _ref_analyze(carrier, seed, samples=400):
     else:
         rng = random.Random(seed)
         mode = f"sampled({samples})"
-        for _ in range(samples):
-            a, b, c = (rng.choice(elements) for _ in range(3))
+        draws = rng.choices(elements, k=3 * samples)
+        for a, b, c in zip(draws[::3], draws[1::3], draws[2::3]):
             if op(op(a, b), c) != op(a, op(b, c)):
                 associative, associativity_witness = False, (a, b, c)
                 break
@@ -599,11 +599,14 @@ def test_product_table_matches_direct_products(name):
     for seed in (0, 1) if carrier.cardinality() > ASSOC_EXHAUSTIVE_LIMIT else (0,):
         got, want = analyze(carrier, seed=seed), _ref_analyze(carrier, seed)
         assert got.to_json() == want.to_json()
+        # at every idempotent, the group `_ref_maximal_subgroup` finds: on an
+        # enumerated carrier a product of cell groups, open cells included
+        assert got.max_subgroups == want.max_subgroups
         assert got.table() == want.table()
         assert got.smarandache == want.smarandache
     assert is_smarandache(carrier) == _ref_is_smarandache(carrier)
     if carrier.op != ADDITION and want.closed:
-        for x in carrier.elements()[::7]:
+        for x in carrier.elements():
             assert ideal_generated(carrier, x).members == _ref_ideal(carrier, x)
 
 
@@ -802,3 +805,43 @@ def test_enumerated_carriers_compute_no_product_past_one_cell(monkeypatch):
         shapes.clear()
         question()
         assert shapes and set(shapes) == {Shape(1, 1)}
+
+
+def test_enumerated_answers_build_only_the_matrices_they_return(monkeypatch):
+    # the ideal, the idempotents and the Smarandache witness are products of
+    # cell answers: no member matrix is built that the answer does not hold
+    questions = []
+    for carrier, x in (
+        (Carrier.all_matrices(Shape(2, 2), Mod(6)), sq([[2, 0], [3, 1]], Mod(6))),
+        (Carrier.masks(Shape(2, 4)), Matrix.from_rows([[1, 0, 1, 1], [0, 1, 0, 0]], Z_PLUS)),
+    ):
+        questions += [
+            lambda carrier=carrier, x=x: ideal_generated(carrier, x).members,
+            lambda carrier=carrier: idempotents_in(carrier),
+            lambda carrier=carrier: is_smarandache(carrier) or (),
+        ]
+    built = []
+    make = Matrix._make.__func__
+
+    def counting(cls, shape, domain, values, partition=None):
+        if shape != Shape(1, 1):
+            built.append(values)
+        return make(cls, shape, domain, values, partition)
+
+    monkeypatch.setattr(Matrix, "_make", classmethod(counting))
+    for question in questions:
+        built.clear()
+        got = question()
+        assert sorted(built) == sorted(m.values for m in got)
+
+
+def test_enumerated_answers_keep_their_refusals():
+    # past the enumeration bound, refused before the generator is checked
+    huge = Carrier.all_matrices(Shape(1, 1), Mod(10**20))
+    message = "^all carrier of shape 1x1 has more than 4096 elements$"
+    for x in (row([3], Mod(10**20)), row([3], Z)):
+        with pytest.raises(TooLarge, match=message):
+            ideal_generated(huge, x)
+    outsider = Matrix.from_rows([[2, 0, 0], [0, 0, 0]], Z_PLUS)
+    with pytest.raises(NotMember, match=re.escape("[2 0 0;0 0 0] is not a carrier member")):
+        ideal_generated(Carrier.masks(Shape(2, 3)), outsider)
