@@ -9,8 +9,10 @@ complement <matrix>, verify {paper-examples|laws|census}.
 
 Each verb takes only the flags its handler reads; any other flag exits 2.
 Each handler imports the layers it runs, so a child process loads only
-what its verb needs.  `--samples` is bounded per verb: LAWS_MAX_SAMPLES
-for `verify laws`, ANALYZE_MAX_SAMPLES for `analyze carrier`.
+what its verb needs: `complement` runs on `matrix` alone, and `json` is
+imported only where JSON text is read or written.  `--samples` is bounded
+per verb: LAWS_MAX_SAMPLES for `verify laws`, ANALYZE_MAX_SAMPLES for
+`analyze carrier`.
 
 Exit codes: 0 success, 1 negative finding (false predicate, no roots,
 failed suite case), 2 usage or parse errors, 3 internal error (any other
@@ -23,7 +25,6 @@ from __future__ import annotations
 import argparse
 import collections
 import io
-import json
 import os
 import sys
 from contextlib import redirect_stderr
@@ -38,11 +39,11 @@ from .errors import (
 )
 from .matrix import (
     Matrix,
+    _orthogonal_mask,
     _parse_span,
     _shape,
     divides,
     is_orthogonal,
-    main_complement,
     matrix_from_json,
     matrix_to_json,
     natural_inverse,
@@ -140,6 +141,8 @@ def _load_poly(token, domain):
 def _emit(fmt, value, to_json, to_text):
     """The payload for `value`: canonical JSON with sorted keys, or text."""
     if fmt == "json":
+        import json
+
         obj = to_json(value)
         try:
             return json.dumps(obj, sort_keys=True)
@@ -354,15 +357,13 @@ def _cmd_analyze(args):
 
 
 def _cmd_complement(args):
-    from . import structures as st
-
     domain = domain_from_code(args.domain)
     m = _load_matrix(args.inputs[0], domain).base
-    mask = str(main_complement(m))
-    dim = st.orthogonal_space(m).dim
+    mask = _orthogonal_mask(m)
+    dim = mask.popcount
     payload = _emit(
         args.format,
-        mask,
+        str(mask),
         lambda mask: {"mask": mask, "dimension": dim},
         lambda mask: f"{mask}\ndimension {dim}",
     )

@@ -18,7 +18,6 @@ coefficientwise.
 
 from __future__ import annotations
 
-import json
 import re
 from itertools import chain
 from operator import add, mul
@@ -623,6 +622,8 @@ def poly_from_json(obj) -> MatPoly:
     """Inverse of poly_to_json; repeated degrees add up, as in parse_poly."""
     try:
         if isinstance(obj, str):
+            import json
+
             obj = json.loads(obj)
         shape = Shape(*(_json_int(obj["shape"][k], f"shape.{k}") for k in ("rows", "cols")))
         domain = domain_from_code(obj["domain"])

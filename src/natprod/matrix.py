@@ -20,7 +20,6 @@ big-int multiply serves a whole output row; see "integer kernels" below.
 
 from __future__ import annotations
 
-import json
 import re
 import struct
 from itertools import chain, repeat
@@ -37,6 +36,7 @@ from .errors import (
     ShapeMismatch,
     TooLarge,
     TypeMismatch,
+    UnsupportedDomain,
     ZeroDivisorEntry,
     shorten,
 )
@@ -588,6 +588,15 @@ def main_complement(a: Matrix) -> "SupportMask":
     return support(a).complement()
 
 
+def _orthogonal_mask(x: Matrix) -> "SupportMask":
+    """The support of {y : x *n y = 0}: x's main complement, over
+    zero-divisor-free scalars only; over Z_n the annihilator of x is
+    generally larger than a coordinate pattern."""
+    if x.domain.is_modular:
+        raise UnsupportedDomain("the annihilator over Z_n is not a support pattern")
+    return main_complement(x)
+
+
 def is_orthogonal(a: Matrix, b: Matrix) -> bool:
     return (a * b).is_zero()
 
@@ -936,6 +945,8 @@ def matrix_from_json(obj) -> Matrix:
     """Inverse of matrix_to_json, from a dict or JSON text."""
     try:
         if isinstance(obj, str):
+            import json
+
             obj = json.loads(obj)
         domain = domain_from_code(obj["domain"])
         entries = _json_array(obj["entries"], "entries")

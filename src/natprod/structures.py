@@ -37,6 +37,7 @@ from .matrix import (
     Matrix,
     Shape,
     SupportMask,
+    _orthogonal_mask,
     _shape,
     render_matrix,
     support,
@@ -48,6 +49,8 @@ ADDITION = "add"
 
 ASSOC_EXHAUSTIVE_LIMIT = 64
 ANALYZE_MAX_ELEMENTS = 1024
+
+_BYTES = bytes(range(256))  # the identity `bytes.translate` table
 
 
 class Carrier(_Value):
@@ -302,9 +305,19 @@ class _Table:
 
     def commutativity_witness(self):
         """The first pair a < b with a·b != b·a, or None, on the filled table.
-        The first row that differs from its column differs past the diagonal."""
-        for a, (row, col) in enumerate(zip(self.rows, zip(*self.rows))):
-            if tuple(row) != col:
+        Each row is compared with its column, of the rows' own type: a
+        `bytes` table is joined once and column a is the slice `flat[a::n]`;
+        a list table is transposed, as slicing a joined list of n² entries
+        costs more.  The first row that differs from its column differs
+        past the diagonal."""
+        n, rows = self.n, self.rows
+        if isinstance(rows[0], bytes):
+            flat = b"".join(rows)
+            columns = (flat[a::n] for a in range(n))
+        else:
+            columns = map(list, zip(*rows))
+        for a, (row, col) in enumerate(zip(rows, columns)):
+            if row != col:
                 return a, next(b for b, k in enumerate(row) if k != col[b])
         return None
 
@@ -462,7 +475,9 @@ class _Power(_Table):
     row of a is the product of the cell rows of its digits: base-k
     arithmetic when `cell` is closed, computed afresh on each read unless
     `fill` has kept the table (n² entries); otherwise digit tuples mapped
-    to indices, kept.
+    to indices, kept.  A filled closed table of at most 256 members keeps
+    each row as `bytes`, one byte per index; every reader takes either
+    form.
 
     An answer that is a product of cell answers, one digit set per
     position, is read from `cell`: the idempotents (`idempotents_in`), the
@@ -536,16 +551,30 @@ class _Power(_Table):
         )
 
     def fill(self):
+        """Keep every row and build all n members.  A closed table is the
+        Kronecker power of the cell's rows: up to 256 members each row is
+        `bytes`, joined from rows one position shorter shifted by
+        `bytes.translate`, so no index is a Python int; past 256 the same
+        recurrence runs on lists."""
         index = self.index
         self.elements[: self.n] = _matrices(index.shape, index.domain, [self.values] * self.size)
         if not self.closed:
             return super().fill()
         # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
-        cell, rows, size = self.cell.rows, [[0]], 1
-        while size < self.n:
-            scaled = [[c * size for c in hi] for hi in cell]
-            rows = [[c + x for c in hi for x in lo] for hi in scaled for lo in rows]
-            size *= len(cell)
+        cell, size = self.cell.rows, 1
+        if self.n <= 256:  # every index is one byte: translating by shift[c] adds c·K
+            rows = [b"\0"]
+            while size < self.n:
+                shift = [_BYTES[c * size :].ljust(256, b"\0") for c in range(len(cell))]
+                shifts = [[shift[c] for c in hi] for hi in cell]
+                rows = [b"".join(map(lo.translate, hi)) for hi in shifts for lo in rows]
+                size *= len(cell)
+        else:
+            rows = [[0]]
+            while size < self.n:
+                scaled = [[c * size for c in hi] for hi in cell]
+                rows = [[c + x for c in hi for x in lo] for hi in scaled for lo in rows]
+                size *= len(cell)
         self.rows = rows
         return self
 
@@ -634,7 +663,7 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         broken = ((a, b, c) for a, b, c in triples if mul(mul(a, b), c) != mul(a, mul(b, c)))
     associativity_witness = next(broken, None)
 
-    every = list(idx)
+    every = type(rows[0])(idx)  # 0..n-1 as a row: bytes or list, as the rows are
     identity = next(
         (e for e in idx if rows[e] == every and all(row[e] == a for a, row in enumerate(rows))),
         None,
@@ -809,12 +838,9 @@ def orthogonal_space(x: Matrix) -> MaskSubspace:
     """{y : x *n y = 0}: the subspace supported off x's support.
 
     Only meaningful over zero-divisor-free scalars (Z, Q and the cones);
-    over Z_n the annihilator of x is generally larger than a coordinate
-    pattern.
+    UnsupportedDomain over Z_n.
     """
-    if x.domain.is_modular:
-        raise UnsupportedDomain("the annihilator over Z_n is not a support pattern")
-    return MaskSubspace(support(x).complement(), x.domain)
+    return MaskSubspace(_orthogonal_mask(x), x.domain)
 
 
 def subspace_complement(w: MaskSubspace) -> MaskSubspace:

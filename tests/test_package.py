@@ -104,7 +104,8 @@ def _loaded(*argv):
     return set(proc.stderr.split())
 
 
-_ALL = {"natprod.matpoly", "natprod.structures", "natprod.verify", "dataclasses"}
+_LAYERS = {"natprod.matpoly", "natprod.structures", "natprod.verify", "dataclasses"}
+_ALL = _LAYERS | {"json"}
 
 
 @pytest.mark.parametrize(
@@ -112,10 +113,16 @@ _ALL = {"natprod.matpoly", "natprod.structures", "natprod.verify", "dataclasses"
     [
         (("eval", "nprod", "[1 2]", "[3 4]"), set()),
         (("poly", "add", "[1 2] + [3 4] * x", "[5 6]"), {"natprod.matpoly"}),
-        (("complement", "[1 0]"), {"natprod.structures", "dataclasses"}),
-        (("verify", "laws", "--samples", "1"), _ALL),
+        (("complement", "[1 0]"), set()),
+        (("verify", "laws", "--samples", "1"), _LAYERS),
+        # only JSON text loads `json`: the output, or an input
+        (("eval", "nprod", "[1 2]", "[3 4]", "--format", "json"), {"json"}),
+        (
+            ("eval", "parse-render", '{"domain": "Q", "rows": 1, "cols": 1, "entries": [["1"]]}'),
+            {"json"},
+        ),
     ],
-    ids=["eval", "poly", "complement", "verify"],
+    ids=["eval", "poly", "complement", "verify", "eval-json", "eval-json-input"],
 )
 def test_a_verb_loads_only_its_layers(argv, used):
     loaded = _loaded(*argv)

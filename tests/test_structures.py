@@ -686,17 +686,82 @@ def test_is_subsemigroup_answers_past_the_enumeration_bound():
 )
 def test_index_filled_rows_match_products_pair_by_pair(name):
     carrier = REFERENCE_CARRIERS[name]
-    elements = carrier.elements()
-    n = len(elements)
-    index = {m: i for i, m in enumerate(elements)}
-    want = [[index.setdefault(carrier.apply(a, b), len(index)) for b in elements] for a in elements]
+    n = carrier.cardinality()
+    want = _ref_rows(carrier)
     closed = all(k < n for row in want for k in row)
     fresh = _Table.of(carrier)
     # the carrier, a direct power of its one-cell table, is closed exactly when that table is
     assert (fresh.cell.closure_witness() is None) == fresh.closed == closed
     assert [fresh.row(a) for a in range(n)] == want
     assert fresh.idempotents() == [a for a in range(n) if want[a][a] == a]
-    assert _Table.of(carrier).fill().rows == want
+    rows = _Table.of(carrier).fill().rows
+    assert list(map(list, rows)) == want
+    # a filled closed table of at most 256 members keeps one byte per index
+    assert {type(row) for row in rows} == {bytes if closed and n <= 256 else list}
+
+
+def _ref_rows(carrier):
+    """The filled table, one `apply` per pair; a product outside the
+    members is indexed past them in order of first sight."""
+    elements = carrier.elements()
+    index = {m: i for i, m in enumerate(elements)}
+    return [[index.setdefault(carrier.apply(a, b), len(index)) for b in elements] for a in elements]
+
+
+@pytest.mark.parametrize(
+    "carrier,form",
+    [
+        (Carrier.masks(Shape(2, 4)), bytes),
+        (Carrier.all_matrices(Shape(1, 4), Mod(4)), bytes),
+        (Carrier.masks(Shape(3, 3)), list),
+    ],
+    ids=["masks:2x4", "all:1x4:Zn:4", "masks:3x3"],
+)
+def test_filled_rows_either_side_of_the_one_byte_bound(carrier, form):
+    # 256 members: the last index is 255, one byte; 512 members: lists
+    rows = _Table.of(carrier).fill().rows
+    assert {type(row) for row in rows} == {form}
+    assert list(map(list, rows)) == _ref_rows(carrier)
+
+
+def _times_square(x, y):
+    """x·y·y: two members commute under it exactly when x·y·(y - x) is 0."""
+    return x * y * y
+
+
+@pytest.mark.parametrize("form", [bytes, list])
+@pytest.mark.parametrize(
+    "members,op,first",
+    [
+        (Carrier.all_matrices(Shape(1, 2), Mod(3)).elements(), _times_square, (1, 2)),
+        # the 0/1 members commute: row 1 first differs from its column at [0 2]
+        (
+            [row(v, Z) for v in ([0, 0], [0, 1], [1, 0], [1, 1], [0, 2], [2, 2])],
+            _times_square,
+            (1, 4),
+        ),
+        (Carrier.masks(Shape(1, 3), Z).elements(), Matrix.__sub__, (0, 1)),
+        (Carrier.all_matrices(Shape(1, 2), Mod(3)).elements(), Matrix.__mul__, None),
+    ],
+    ids=["closed", "not-closed", "not-closed-subtraction", "commutative"],
+)
+def test_commutativity_witness_is_the_first_pair_a_brute_force_search_finds(
+    members, op, first, form
+):
+    want = next(
+        (
+            (a, b)
+            for a, b in itertools.combinations(range(len(members)), 2)
+            if op(members[a], members[b]) != op(members[b], members[a])
+        ),
+        None,
+    )
+    assert want == first
+    table = _Table(members, op).fill()
+    # every index fits one byte, so the same table can be read as bytes
+    assert len(table.elements) <= 256
+    table.rows = list(map(form, table.rows))
+    assert table.commutativity_witness() == want
 
 
 @pytest.mark.parametrize(
