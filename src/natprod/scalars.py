@@ -371,7 +371,7 @@ def domain_from_code(code):
     for kind, known in _CODES.items():
         if code == known:
             return Domain(kind)
-    m = re.match(r"^Zn?:(\d+)$", code)
+    m = re.match(r"^Zn:(\d+)$", code)
     if m:
         n = _parse_int(m.group(1))
         if n < 2:

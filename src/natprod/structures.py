@@ -12,11 +12,11 @@ product that leaves the family is an index past its end.  The questions
 read whole rows, with no method call per product.  Both operations act
 entrywise, so an enumerated carrier S^k is a direct power of its
 one-cell carrier S, and its table (`_Power`) reads every product from
-the one-cell table, with no matrix product past one cell, even when the
-products leave the members.  Its idempotents, the ideal of a member and
-its maximal subgroups are products of the cell's, and a member's matrix
-is built only when an answer reports it.  An explicit carrier answers
-them by walking its rows.
+the table of the cell's scalar values under the domain's own `*` or `+`,
+with no matrix product, even when the products leave the members.  Its
+idempotents, the ideal of a member and its maximal subgroups are products
+of the cell's, and a member's matrix is built only when an answer
+reports it.  An explicit carrier answers them by walking its rows.
 
 Subspaces here are coordinate subspaces described by support masks: the
 matrices orthogonal to x under the natural product are exactly those
@@ -90,8 +90,8 @@ class Carrier(_Value):
 
     @property
     def cell(self):
-        """The values one entry takes, or None for an explicit carrier: an
-        enumerated carrier holds every row-major tuple of them."""
+        """The values one entry takes, zero first, or None for an explicit
+        carrier: an enumerated carrier holds every row-major tuple of them."""
         if self.kind == "masks":
             return (self.domain.zero, self.domain.one)
         if self.kind == "all":
@@ -227,10 +227,10 @@ class _Table:
     Members keep their given order as indices 0..n-1 and `rows[a][b]` is
     the index of a·b.  A product outside the members is interned with an
     index >= n: an entry >= n witnesses that the family is not closed, and
-    index equality stays exact.  Here a product is `apply` on two matrices,
-    interned by its matrix, and a member's row is kept once computed;
+    index equality stays exact.  Here a product is `apply` on two elements,
+    interned by its value, and a member's row is kept once computed;
     `mul` memoises the products of indices >= n.  An enumerated carrier's
-    table is a `_Power`, which computes no matrix product past one cell
+    table is a `_Power`, which multiplies no matrix, only its cell values,
     and builds no member matrix up front.
 
     The exhaustive associativity check compares a whole n×n table per
@@ -255,7 +255,9 @@ class _Table:
         if cell is None:
             return _Table(carrier.elements(max_elements), carrier.apply)
         n = carrier._enumerable(max_elements)
-        return _Power(carrier, n, _cell_table(carrier, cell))
+        domain = carrier.domain
+        apply = domain.mul if carrier.op == NATURAL_PRODUCT else domain.add
+        return _Power(carrier, n, _Table(cell, apply))
 
     def intern(self, m: Matrix) -> int:
         k = self.index.get(m)
@@ -386,7 +388,12 @@ class _Table:
         return self.members(sorted(inside))
 
     def h_classes(self, closed):
-        """(e, maximal subgroup at e) per idempotent, full support first.
+        """(e, maximal subgroup at e) per idempotent, full support first and
+        then in index order, which the stable sort keeps from `groups`."""
+        return sorted(self.groups(closed), key=lambda eh: self.elements[eh[0]].values.count(0))
+
+    def groups(self, closed):
+        """(e, maximal subgroup at e) per idempotent e, in index order.
 
         Both operations commute, so the group at e holds the a with a·e = a
         that have an inverse relative to e among those: the H-class of e.
@@ -396,7 +403,6 @@ class _Table:
         inverses are searched for.
         """
         n, row, idempotents = self.n, self.row, self.idempotents()
-        order = sorted(idempotents, key=lambda i: (self.elements[i].values.count(0), i))
         if closed:
             groups = {e: [] for e in idempotents}
             for a in range(n):
@@ -405,13 +411,13 @@ class _Table:
                     e = powers[e]
                 if powers[e] == a:
                     groups[e].append(a)
-            return [(e, groups[e]) for e in order]
+            return list(groups.items())
 
         def group(e):
             candidates = [a for a in range(n) if row(a)[e] == a]
             return [a for a in candidates if e in map(row(a).__getitem__, candidates)]
 
-        return [(e, group(e)) for e in order]
+        return [(e, group(e)) for e in idempotents]
 
     def smarandache(self, subgroups):
         """The first proper subgroup of order >= 2, or None; when a subgroup
@@ -460,8 +466,8 @@ class _Digits(dict):
 
     def matrix(self, digits):
         """The element whose entries are the cell values of these digits."""
-        cell = self.cell.elements
-        return Matrix._make(self.shape, self.domain, tuple([cell[d].values[0] for d in digits]))
+        values = self.cell.elements
+        return Matrix._make(self.shape, self.domain, tuple([values[d] for d in digits]))
 
 
 class _Power(_Table):
@@ -469,15 +475,15 @@ class _Power(_Table):
 
     Both operations act entrywise, and member a is the base-k value of its
     digits, first entry most significant, a value's digit being its
-    position in `Carrier.cell`.  So every product comes from the one-cell
-    table `cell`, whose `mul` interns a value outside the k as a digit
-    >= k; an element outside the members is interned by its digits.  The
-    row of a is the product of the cell rows of its digits: base-k
-    arithmetic when `cell` is closed, computed afresh on each read unless
-    `fill` has kept the table (n² entries); otherwise digit tuples mapped
-    to indices, kept.  A filled closed table of at most 256 members keeps
-    each row as `bytes`, one byte per index; every reader takes either
-    form.
+    position in `Carrier.cell`, so digit 0 is the zero.  So every product
+    comes from the one-cell table `cell` over those scalar values, whose
+    `mul` interns a value outside the k as a digit >= k; an element outside
+    the members is interned by its digits.  The row of a is the product of
+    the cell rows of its digits: base-k arithmetic when `cell` is closed,
+    computed afresh on each read unless `fill` has kept the table (n²
+    entries); otherwise digit tuples mapped to indices, kept.  A filled
+    closed table of at most 256 members keeps each row as `bytes`, one byte
+    per index; every reader takes either form.
 
     An answer that is a product of cell answers, one digit set per
     position, is read from `cell`: the idempotents (`idempotents_in`), the
@@ -486,7 +492,7 @@ class _Power(_Table):
     `matrices` a product of digit sets, and `fill` all n at once.
     """
 
-    __slots__ = ("cell", "values", "size", "closed")
+    __slots__ = ("cell", "size", "closed")
 
     def __init__(self, carrier, n, cell):
         self.elements = [None] * n
@@ -494,7 +500,7 @@ class _Power(_Table):
         self.index = _Digits(cell, carrier.shape, carrier.domain, self.elements)
         self.rows = [None] * n
         self._memo = {}
-        self.cell, self.values, self.size = cell, carrier.cell, carrier.shape.size
+        self.cell, self.size = cell, carrier.shape.size
         self.closed = cell.closure_witness() is None
 
     def digits(self, a: int):
@@ -509,7 +515,7 @@ class _Power(_Table):
 
     def intern(self, m: Matrix) -> int:
         """The index of m, whose entries are cell values."""
-        return self.index[tuple(map(self.values.index, m.values))]
+        return self.index[tuple(map(self.cell.intern, m.values))]
 
     def product(self, a: int, b: int) -> int:
         return self.index[tuple(map(self.cell.mul, self.digits(a), self.digits(b)))]
@@ -545,7 +551,7 @@ class _Power(_Table):
     def matrices(self, sets) -> tuple:
         """The members whose digit at each position lies in that position's
         set, in order."""
-        values = self.values
+        values = self.cell.elements
         return _matrices(
             self.index.shape, self.index.domain, [[values[d] for d in sorted(s)] for s in sets]
         )
@@ -556,8 +562,7 @@ class _Power(_Table):
         `bytes`, joined from rows one position shorter shifted by
         `bytes.translate`, so no index is a Python int; past 256 the same
         recurrence runs on lists."""
-        index = self.index
-        self.elements[: self.n] = _matrices(index.shape, index.domain, [self.values] * self.size)
+        self.elements[: self.n] = self.matrices([range(self.cell.n)] * self.size)
         if not self.closed:
             return super().fill()
         # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
@@ -592,15 +597,12 @@ class _Power(_Table):
     def h_classes(self, closed):
         """The group at e is the product of the cell groups at e's digits,
         for a closed cell and an open one alike.  Each idempotent e is built
-        digit by digit, last position first, as the key (zero entries)·n + e,
+        digit by digit, last position first, as the key (zero digits)·n + e,
         so sorting the keys gives the order; its group is built alongside as
         offsets from e, and a position whose cell group is its digit alone
         adds no work there."""
         cell, n = self.cell, self.n
-        groups = [
-            (d, cell.elements[d].values.count(0) * n, [c - d for c in h])
-            for d, h in cell.h_classes(closed)
-        ]
+        groups = [(d, n if d == 0 else 0, [c - d for c in h]) for d, h in cell.groups(closed)]
         classes, size = [(0, [0])], 1  # (key, offsets from e) over a suffix
         for _ in range(self.size):
             classes = [
@@ -625,12 +627,6 @@ def _matrices(shape, domain, values):
     position's values (canonical for the domain), in row-major
     lexicographic order."""
     return tuple(map(partial(Matrix._make, shape, domain), itertools.product(*values)))
-
-
-def _cell_table(carrier, values):
-    """The table of the 1×1 matrices of `values` under the carrier's operation."""
-    one = Shape(1, 1)
-    return _Table([Matrix._make(one, carrier.domain, (v,)) for v in values], carrier.apply)
 
 
 def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
@@ -773,16 +769,10 @@ def _members(carrier: Carrier, subset):
 def is_subsemigroup(carrier: Carrier, subset):
     """Is the subset of carrier members closed under the carrier operation?
 
-    The products of an enumerated carrier's members, which need not be
-    enumerable, come from the one-cell table of the values they hold.
+    Only the subset's products are computed, with the carrier operation,
+    so a carrier too large to enumerate is answered too.
     """
-    members = _members(carrier, subset)
-    if carrier.cell is None:
-        return _Table(members, carrier.apply).closure_witness() is None
-    values = list(dict.fromkeys(v for m in members for v in m.values))
-    cell = _cell_table(carrier, values)
-    inside = {tuple(map(values.index, m.values)) for m in members}
-    return all(tuple(map(cell.mul, a, b)) in inside for a in inside for b in inside)
+    return _Table(_members(carrier, subset), carrier.apply).closure_witness() is None
 
 
 def is_ideal(carrier: Carrier, subset):

@@ -191,6 +191,19 @@ def test_masks_carrier_takes_one_add_suffix_only(spec):
     assert run("analyze", "carrier", "masks:1x2:add").exit_code == 0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [("analyze", "carrier", "all:1x2:Z:4"), ("eval", "nprod", "[1]", "[1]", "--domain", "Z:4")],
+    ids=["carrier_spec", "domain_flag"],
+)
+def test_modular_domain_is_spelled_zn_only(argv):
+    report = run(*argv)
+    assert (report.exit_code, report.payload) == (2, "")
+    assert report.diagnostics == "error: ParseError: unknown domain 'Z:4'"
+    zn = [a.replace("Z:4", "Zn:4") for a in argv]
+    assert run(*zn).exit_code == 0
+
+
 def test_divides_refuses_different_partitions():
     report = run("eval", "divides", "[1 | 2]", "[2 4]", "--domain", "Z")
     assert report.exit_code == 2

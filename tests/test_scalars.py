@@ -2,6 +2,7 @@ import copy
 import os
 import pickle
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -172,6 +173,9 @@ def test_domain_codes_round_trip():
         assert domain_from_code(domain.code) == domain
     with pytest.raises(ParseError):
         domain_from_code("R")
+    # one spelling per domain: Z_n is Zn:<n> only
+    with pytest.raises(ParseError, match=re.escape("unknown domain 'Z:4'")):
+        domain_from_code("Z:4")
     with pytest.raises(ValueError):
         Mod(1)
 
