@@ -11,8 +11,8 @@ the left and per column of the right factor for the usual one) and lower
 each output coefficient once (the kernels of `matrix`).  In between, dense
 factors pack each entry's coefficients over their degrees into one int, so
 one big-int multiply per entry position, or per pair of entries for the
-usual product, does the whole convolution; sparse or wide ones add integer
-products per output degree.  Formal derivative and integral act
+usual product, does the whole convolution; sparse or wide ones add one
+integer product per pair of terms.  Formal derivative and integral act
 coefficientwise.
 """
 
@@ -197,7 +197,13 @@ class MatPoly(_Value):
         )
 
     def __sub__(self, other):
-        return self + (-other)
+        """Coefficientwise `Matrix.__sub__`, in ascending degree, with a
+        missing degree read as zero; over a cone a negative entry raises."""
+        self._check_peer(other)
+        zero = zeros(self.shape, self.domain)
+        degrees = sorted(self._terms.keys() | other._terms.keys())
+        terms = {d: self._terms.get(d, zero) - other._terms.get(d, zero) for d in degrees}
+        return MatPoly(self.shape, self.domain, terms, self.ptype)
 
     def __mul__(self, other):
         """Cauchy convolution with the natural product on coefficients.
@@ -218,7 +224,7 @@ class MatPoly(_Value):
                 fields = len(left) + len(right) - 1
                 sums = list(map(mul, _pack(left, size), _pack(right, size)))
                 return _lowered(self, min(a) + min(b), _unpack(sums, fields, size), fields, dens)
-        return MatPoly(self.shape, self.domain, _convolve(self, a, b, dens), self.ptype)
+        return _convolve(self, a, b, dens, lambda x, y: list(map(mul, x, y)))
 
     def __matmul__(self, other):
         """Convolution with the usual matrix product; square, unpartitioned.
@@ -228,10 +234,10 @@ class MatPoly(_Value):
         each right row t one int with a run of fields per column, padded
         so that two columns' products never overlap.  Output row r is then
         the sum over t of n big-int multiplies, and one unpack gives every
-        degree of it.  Sparse or wide factors take one product
-        [a_i | a_i' | ...] @ [b_j ; b_j' ; ...] per output degree over its
-        pairs i + j = d, packed over columns past the shape threshold of
-        `matrix`.  Either way each output coefficient is lowered once.
+        degree of it.  Otherwise each pair of degrees adds one integer
+        product a_i @ b_j, with every right coefficient packed over its
+        columns once past the shape threshold of `matrix`.  Either way each
+        output coefficient is lowered once.
         """
         self._check_peer(other)
         if self.shape.rows != self.shape.cols:
@@ -253,24 +259,11 @@ class MatPoly(_Value):
                 sums = [sum(map(mul, left[r * n : (r + 1) * n], right)) for r in range(n)]
                 flat = _unpack(sums, n * fields, size)
                 return _lowered(self, min(a) + min(b), flat, fields, dens)
-        pairs = {}
-        for i in a:
-            for j in b:
-                pairs.setdefault(i + j, []).append((i, j))
-        inner = n * max(map(len, pairs.values()), default=0)  # of the longest degree
         left = [row for rows in a.values() for row in rows]
-        size = _field_size(left, [col for cols in b.values() for col in cols], n, inner)
+        size = _field_size(left, [col for cols in b.values() for col in cols], n, n)
         if size:
             b = {j: _pack(cols, size) for j, cols in b.items()}
-        out = {}
-        for d, ps in pairs.items():
-            rows = [list(chain.from_iterable(a[i][t] for i, _ in ps)) for t in range(n)]
-            if size:
-                right = list(chain.from_iterable(b[j] for _, j in ps))
-            else:
-                right = [list(chain.from_iterable(b[j][t] for _, j in ps)) for t in range(n)]
-            out[d] = _lower(self.shape, self.domain, _int_matmul(rows, right, n, size), dens)
-        return MatPoly(self.shape, self.domain, out, self.ptype)
+        return _convolve(self, a, b, dens, lambda x, y: _int_matmul(x, y, n, size))
 
 
 def _lift_entries(p):
@@ -321,17 +314,18 @@ def _lowered(p, low, flat, fields, dens):
     return MatPoly(p.shape, p.domain, out, p.ptype)
 
 
-def _convolve(p, a, b, dens):
-    """{degree: coefficient} of the natural-product convolution of two
-    polynomials lifted entry by entry; every output coefficient is lowered
-    once, over `dens`, in p's shape and domain."""
+def _convolve(p, a, b, dens, product):
+    """The convolution of two lifted polynomials, one `product(a_i, b_j)` of
+    integer coefficients per pair of terms, added by degree; every output
+    coefficient is lowered once, over `dens`, in p's shape and domain."""
     sums = {}
     for i, x in a.items():
         for j, y in b.items():
-            product = list(map(mul, x, y))
+            ints = product(x, y)
             acc = sums.get(i + j)
-            sums[i + j] = product if acc is None else list(map(add, acc, product))
-    return {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items()}
+            sums[i + j] = ints if acc is None else list(map(add, acc, ints))
+    out = {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items()}
+    return MatPoly(p.shape, p.domain, out, p.ptype)
 
 
 def _sum_by_degree(terms):

@@ -387,37 +387,26 @@ class _Table:
             todo += fresh
         return self.members(sorted(inside))
 
-    def h_classes(self, closed):
+    def h_classes(self):
         """(e, maximal subgroup at e) per idempotent, full support first and
         then in index order, which the stable sort keeps from `groups`."""
-        return sorted(self.groups(closed), key=lambda eh: self.elements[eh[0]].values.count(0))
+        return sorted(self.groups(), key=lambda eh: self.elements[eh[0]].values.count(0))
 
-    def groups(self, closed):
+    def groups(self):
         """(e, maximal subgroup at e) per idempotent e, in index order.
 
         Both operations commute, so the group at e holds the a with a·e = a
-        that have an inverse relative to e among those: the H-class of e.
-        On a closed table that is the a with a·e = a whose powers a, a², …
-        reach e (Clifford & Preston 1961), and a^(i+1) = a·a^i reads row a
-        only.  Powers may leave a table that is not closed, so there the
-        inverses are searched for.
+        that have an inverse relative to e among those: the H-class of e
+        (Clifford & Preston 1961).  Only member rows are read, so a table
+        whose products leave the members is searched alike.
         """
-        n, row, idempotents = self.n, self.row, self.idempotents()
-        if closed:
-            groups = {e: [] for e in idempotents}
-            for a in range(n):
-                powers, e = row(a), a
-                while e not in groups:
-                    e = powers[e]
-                if powers[e] == a:
-                    groups[e].append(a)
-            return list(groups.items())
+        n, row = self.n, self.row
 
         def group(e):
             candidates = [a for a in range(n) if row(a)[e] == a]
             return [a for a in candidates if e in map(row(a).__getitem__, candidates)]
 
-        return [(e, group(e)) for e in idempotents]
+        return [(e, group(e)) for e in self.idempotents()]
 
     def smarandache(self, subgroups):
         """The first proper subgroup of order >= 2, or None; when a subgroup
@@ -594,15 +583,16 @@ class _Power(_Table):
         row = self.cell.row
         return self.matrices([set(row(d)) for d in self.digits(g)])
 
-    def h_classes(self, closed):
+    def h_classes(self):
         """The group at e is the product of the cell groups at e's digits,
-        for a closed cell and an open one alike.  Each idempotent e is built
-        digit by digit, last position first, as the key (zero digits)·n + e,
-        so sorting the keys gives the order; its group is built alongside as
-        offsets from e, and a position whose cell group is its digit alone
-        adds no work there."""
+        which the cell's inverse search (`groups`) finds for a closed cell
+        and an open one alike.  Each idempotent e is built digit by digit,
+        last position first, as the key (zero digits)·n + e, so sorting the
+        keys gives the order; its group is built alongside as offsets from
+        e, and a position whose cell group is its digit alone adds no work
+        there."""
         cell, n = self.cell, self.n
-        groups = [(d, n if d == 0 else 0, [c - d for c in h]) for d, h in cell.groups(closed)]
+        groups = [(d, n if d == 0 else 0, [c - d for c in h]) for d, h in cell.groups()]
         classes, size = [(0, [0])], 1  # (key, offsets from e) over a suffix
         for _ in range(self.size):
             classes = [
@@ -664,7 +654,7 @@ def analyze(carrier: Carrier, *, seed=0, samples=400) -> StructureReport:
         (e for e in idx if rows[e] == every and all(row[e] == a for a, row in enumerate(rows))),
         None,
     )
-    subgroups = table.h_classes(closed)
+    subgroups = table.h_classes()
     # each idempotent is the identity of exactly one maximal subgroup
     idempotents = sorted(e for e, _ in subgroups)
 
@@ -752,8 +742,7 @@ def is_smarandache(carrier: Carrier):
     witness's matrices are built.
     """
     table = _Table.of(carrier)
-    closed = table.closure_witness() is None
-    return table.members(table.smarandache(table.h_classes(closed)))
+    return table.members(table.smarandache(table.h_classes()))
 
 
 def _members(carrier: Carrier, subset):
@@ -960,14 +949,11 @@ def cone_positivity_check(shape, domain: Domain, samples=1000, seed=0) -> ConeRe
         total = x + y
         if total.is_zero() and not (x.is_zero() and y.is_zero()):
             strict_ok = False
-    pair = cone_zero_divisor_pair(shape, domain)
-    if pair is not None and not (pair[0] * pair[1]).is_zero():
-        pair = None  # construction failed; never expected
     return ConeReport(
         shape=shape,
         domain=domain,
         samples=samples,
         positive_products_ok=products_ok,
         additive_strictness_ok=strict_ok,
-        zero_divisor_pair=pair,
+        zero_divisor_pair=cone_zero_divisor_pair(shape, domain),
     )

@@ -20,6 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import natprod.matpoly
+import natprod.matrix
 from natprod import (
     ConeViolation,
     Domain,
@@ -686,6 +687,26 @@ def test_usual_convolution_of_sparse_polynomials(domain, n):
     for x, y in [(p, q), (q, p), (p, huge), (huge, huge), (huge, MatPoly.zero(p.shape, domain))]:
         _assert_same(x @ y, _ref_umul(x, y))
     assert sorted(d for d, _ in (p @ q).terms) == [0, 1000, 2000]
+
+
+@pytest.mark.parametrize("top, want", [(10, 2), (2**40, None)], ids=["packed", "plain"])
+def test_sparse_usual_convolution_on_both_sides_of_the_column_gate(top, want):
+    """8 x 8 Z coefficients at holey degrees, which `_dense` refuses: each
+    pair of terms adds one integer `@`, its right coefficient packed over
+    columns while a field of 8 products fits 8 bytes (2 bytes for entries
+    up to 10; entries near 2^40 need 11 and stay plain)."""
+
+    def coeff(seed):
+        return Matrix(Shape(8, 8), Z, [(-1) ** i * (top - (seed * i) % 7) for i in range(64)])
+
+    p = MatPoly(Shape(8, 8), Z, {d: coeff(d + 1) for d in (0, 3, 7)})
+    q = MatPoly(Shape(8, 8), Z, {d: coeff(d + 2) for d in (1, 2, 9)})
+    for x, y in [(p, q), (q, p), (p, p)]:
+        with mock.patch.object(natprod.matrix, "_unpack", wraps=natprod.matrix._unpack) as unpack:
+            product = x @ y
+        sizes = [call.args[2] for call in unpack.call_args_list]
+        assert sizes == ([want] * len(x._terms) * len(y._terms) if want else [])
+        _assert_same(product, _ref_umul(x, y))
 
 
 @settings(max_examples=150)

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import row, sq
 from natprod import (
+    ConeViolation,
     MatPoly,
     Mod,
     Matrix,
@@ -16,12 +18,14 @@ from natprod import (
     NotSquare,
     ParseError,
     Q,
+    Q_PLUS,
     Shape,
     ShapeMismatch,
     SuperMatrix,
     TypeMismatch,
     UnsupportedDomain,
     Z,
+    Z_PLUS,
     ZeroLead,
     identity,
     monicize_natural,
@@ -50,6 +54,28 @@ def test_add_identities():
     zero = MatPoly.zero(Shape(1, 2), Q)
     assert p + zero == p
     assert p + (-p) == zero
+
+
+@pytest.mark.parametrize(
+    "cone, ring, left, right",
+    [
+        (Z_PLUS, Z, "[3 2] + [1 1] * x + [4 6] * x^3", "[1 2] + [1 0] * x"),
+        (Q_PLUS, Q, "[3 5/2] + [1 1/3] * x^2", "[1/2 5/2] + [1 1/3] * x^2"),
+    ],
+    ids=["Z+", "Q+"],
+)
+def test_cone_subtraction_is_coefficientwise(cone, ring, left, right):
+    """A nonnegative difference stays on the cone, equal to the ring's; a
+    negative entry raises `Matrix.__sub__`'s own ConeViolation."""
+    difference = parse_poly(left, cone) - parse_poly(right, cone)
+    assert difference.domain is cone
+    assert render_poly(difference) == render_poly(parse_poly(left, ring) - parse_poly(right, ring))
+    p = parse_poly(left, cone)
+    assert p - p == MatPoly.zero(p.shape, cone)
+    with pytest.raises(ConeViolation, match=re.escape(f"1 - 2 leaves the cone {cone.code}")):
+        parse_poly("[1 2]", cone) - parse_poly("[2 1]", cone)
+    with pytest.raises(ConeViolation, match=re.escape(f"0 - 1 leaves the cone {cone.code}")):
+        parse_poly("[1 1]", cone) - parse_poly("[1 1] * x", cone)
 
 
 def test_zero_coefficients_dropped():

@@ -335,6 +335,21 @@ def test_cone_positivity():
         cone_positivity_check(Shape(1, 2), Q)
 
 
+@pytest.mark.parametrize("domain", [Z_PLUS, Q_PLUS], ids=lambda d: d.code)
+def test_cone_zero_divisor_pair_has_complementary_supports(domain):
+    for rows, cols in itertools.product(range(1, 5), repeat=2):
+        pair = cone_zero_divisor_pair(Shape(rows, cols), domain)
+        assert cone_positivity_check(Shape(rows, cols), domain, samples=1).zero_divisor_pair == pair
+        if rows * cols == 1:
+            assert pair is None
+            continue
+        a, b = pair
+        assert a.domain is b.domain is domain
+        # every position is in exactly one support
+        assert [v != 0 for v in a.values] == [v == 0 for v in b.values]
+        assert (a * b).is_zero()
+
+
 def test_carrier_explicit_validation():
     with pytest.raises(ValueError):
         Carrier.explicit([])
@@ -580,9 +595,11 @@ REFERENCE_CARRIERS = {
     "signs:2": _sign_group(2),
     "signs:3": _sign_group(3),
     "signs:3:add": Carrier.explicit(_sign_group(3).members, op=ADDITION),
-    # units of order 36 with cyclic subgroups of order 3 and 6: the power walk
+    # units of order 36 with cyclic subgroups of order 3 and 6: the inverse
+    # search finds the whole unit group at the identity
     "all:1x2:Zn:7": Carrier.all_matrices(Shape(1, 2), Mod(7)),
-    # 2 * 2 = 0: powers of [2 x] reach an idempotent whose group they are not in
+    # 2 * 2 = 0: [2 x] lies in no maximal subgroup, as 2 has an inverse
+    # relative to no idempotent of Z_4
     "all:1x2:Zn:4": Carrier.all_matrices(Shape(1, 2), Mod(4)),
     # a closed one-cell table under addition, and one that is not (1 + 1 = 2)
     "masks:1x3:Zn:2:add": Carrier.masks(Shape(1, 3), Mod(2), op=ADDITION),
