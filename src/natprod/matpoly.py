@@ -223,7 +223,8 @@ class MatPoly(_Value):
             if size:
                 fields = len(left) + len(right) - 1
                 sums = list(map(mul, _pack(left, size), _pack(right, size)))
-                return _lowered(self, min(a) + min(b), _unpack(sums, fields, size), fields, dens)
+                flat, low = _unpack(sums, fields, size), min(a) + min(b)
+                return _lowered(self, {low + k: flat[k::fields] for k in range(fields)}, dens)
         return _convolve(self, a, b, dens, lambda x, y: list(map(mul, x, y)))
 
     def __matmul__(self, other):
@@ -257,8 +258,8 @@ class MatPoly(_Value):
             if size:
                 left, right = _pack(left, size), _pack(right, size)
                 sums = [sum(map(mul, left[r * n : (r + 1) * n], right)) for r in range(n)]
-                flat = _unpack(sums, n * fields, size)
-                return _lowered(self, min(a) + min(b), flat, fields, dens)
+                flat, low = _unpack(sums, n * fields, size), min(a) + min(b)
+                return _lowered(self, {low + k: flat[k::fields] for k in range(fields)}, dens)
         left = [row for rows in a.values() for row in rows]
         size = _field_size(left, [col for cols in b.values() for col in cols], n, n)
         if size:
@@ -303,29 +304,25 @@ def _degrees(lifted, zero, fields=0):
     return [lifted.get(d, zero) for d in range(low, low + max(fields, max(lifted) - low + 1))]
 
 
-def _lowered(p, low, flat, fields, dens):
+def _lowered(p, sums, dens):
     """The polynomial in p's shape, domain and partition whose coefficient
-    of degree low + k has the ints flat[k::fields] over `dens`."""
-    out = {}
-    for k in range(fields):
-        ints = flat[k::fields]
-        if any(ints):
-            out[low + k] = _lower(p.shape, p.domain, ints, dens)
+    of degree d has the ints sums[d] over `dens`.  An all-zero sum, a
+    degree whose products cancel or a hole, is skipped before lowering."""
+    out = {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items() if any(ints)}
     return MatPoly(p.shape, p.domain, out, p.ptype)
 
 
 def _convolve(p, a, b, dens, product):
     """The convolution of two lifted polynomials, one `product(a_i, b_j)` of
-    integer coefficients per pair of terms, added by degree; every output
-    coefficient is lowered once, over `dens`, in p's shape and domain."""
+    integer coefficients per pair of terms, added by degree; `_lowered`
+    lowers every output coefficient once, over `dens`."""
     sums = {}
     for i, x in a.items():
         for j, y in b.items():
             ints = product(x, y)
             acc = sums.get(i + j)
             sums[i + j] = ints if acc is None else list(map(add, acc, ints))
-    out = {d: _lower(p.shape, p.domain, ints, dens) for d, ints in sums.items()}
-    return MatPoly(p.shape, p.domain, out, p.ptype)
+    return _lowered(p, sums, dens)
 
 
 def _sum_by_degree(terms):

@@ -9,13 +9,15 @@ just one more field that `+`, `-` and `*` demand to agree and carry over.
 
 Every Q/Q+ result is built once per entry from its integer numerator and
 denominator by `scalars._ratio`; no operator between two Fractions runs on
-a per-entry path.  `+`, `-`, `*` and `scale` form those integers entry by
-entry.  The usual product and the usual inverse run on integers: `_lift`
-turns each row or column into integer numerators over that line's least
-common denominator, the integer kernels work on those, and `_lower`
-reduces the result once per entry.  Past a shape threshold the kernels pack
-each row of the right factor into one int (Kronecker substitution), so one
-big-int multiply serves a whole output row; see "integer kernels" below.
+a per-entry path.  `+`, `-`, `*` and `scale` share one entrywise kernel,
+`Matrix._entrywise`: on Q and Q+ it forms those integers entry by entry, on
+Z, Z+ and Z_n it maps the int operator over the entries.  The usual
+product and the usual inverse run on integers: `_lift` turns each row or
+column into integer numerators over that line's least common denominator,
+the integer kernels work on those, and `_lower` reduces the result once
+per entry.  Past a shape threshold the kernels pack each row of the right
+factor into one int (Kronecker substitution), so one big-int multiply
+serves a whole output row; see "integer kernels" below.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ import re
 import struct
 from itertools import chain, repeat
 from math import lcm
-from operator import mul
+from operator import add, attrgetter, mod, mul, sub
 from typing import NamedTuple
 
 from .errors import (
@@ -223,22 +225,43 @@ class Matrix(_Value):
                 f"partitions differ: {self.ptype!r} vs {other.ptype!r}"
             )
 
-    def __add__(self, other):
-        self._check_peer(other)
-        if self.domain.is_rational:
+    def _entrywise(self, ys, op):
+        """`op` (`add`, `sub` or `mul`) of each entry and the matching item
+        of `ys`, in self's shape, domain and partition: `+`, `-`, `*` and
+        `scale` in one loop.  On Q and Q+ each result is built once by
+        `_ratio` from the two entries' integers; Z_n reduces each result;
+        on a cone the first difference below zero raises through
+        `domain.sub`, with its message."""
+        domain, xs = self.domain, self.values
+        if domain.is_rational and op is mul:
+            values = tuple(
+                _ratio(a._numerator * b._numerator, a._denominator * b._denominator)
+                for a, b in zip(xs, ys)
+            )
+        elif domain.is_rational:
             values = tuple(
                 _ratio(
-                    a._numerator * b._denominator + b._numerator * a._denominator,
+                    op(a._numerator * b._denominator, b._numerator * a._denominator),
                     a._denominator * b._denominator,
                 )
-                for a, b in zip(self.values, other.values)
+                for a, b in zip(xs, ys)
             )
-        elif self.domain.is_modular:
-            n = self.domain.modulus
-            values = tuple((a + b) % n for a, b in zip(self.values, other.values))
+        elif domain.is_modular:
+            values = tuple(map(mod, map(op, xs, ys), repeat(domain.modulus)))
         else:
-            values = tuple(a + b for a, b in zip(self.values, other.values))
-        return Matrix._make(self.shape, self.domain, values, self.partition)
+            values = tuple(map(op, xs, ys))
+        if op is sub and domain.is_cone:
+            sign = attrgetter("_numerator") if domain.is_rational else None
+            if min(values, key=sign) < 0:
+                for a, b, v in zip(xs, ys, values):
+                    if v < 0:
+                        domain.sub(a, b)  # raises the cone's ConeViolation for a - b
+        return Matrix._make(self.shape, domain, values, self.partition)
+
+    def __add__(self, other):
+        """Entrywise sum."""
+        self._check_peer(other)
+        return self._entrywise(other.values, add)
 
     def __neg__(self):
         neg = self.domain.neg
@@ -247,39 +270,14 @@ class Matrix(_Value):
         )
 
     def __sub__(self, other):
+        """Entrywise difference; over a cone a negative entry raises."""
         self._check_peer(other)
-        domain = self.domain
-        if domain.is_rational:
-            values = tuple(
-                _ratio(
-                    a._numerator * b._denominator - b._numerator * a._denominator,
-                    a._denominator * b._denominator,
-                )
-                for a, b in zip(self.values, other.values)
-            )
-            if domain.is_cone:
-                for a, b, v in zip(self.values, other.values, values):
-                    if v._numerator < 0:
-                        domain.sub(a, b)  # raises the cone's ConeViolation for a - b
-        else:
-            sub = domain.sub
-            values = tuple(sub(a, b) for a, b in zip(self.values, other.values))
-        return Matrix._make(self.shape, domain, values, self.partition)
+        return self._entrywise(other.values, sub)
 
     def __mul__(self, other):
         """Natural product: entrywise multiplication."""
         self._check_peer(other)
-        if self.domain.is_rational:
-            values = tuple(
-                _ratio(a._numerator * b._numerator, a._denominator * b._denominator)
-                for a, b in zip(self.values, other.values)
-            )
-        elif self.domain.is_modular:
-            n = self.domain.modulus
-            values = tuple((a * b) % n for a, b in zip(self.values, other.values))
-        else:
-            values = tuple(a * b for a, b in zip(self.values, other.values))
-        return Matrix._make(self.shape, self.domain, values, self.partition)
+        return self._entrywise(other.values, mul)
 
     def __matmul__(self, other):
         """Usual matrix product; undefined on partitioned matrices."""
@@ -312,19 +310,13 @@ class Matrix(_Value):
         return result
 
     def is_zero(self):
-        zero = self.domain.zero
-        return all(v == zero for v in self.values)
+        # every domain's zero, 0 or Fraction(0), is the one falsy value
+        return not any(self.values)
 
     def scale(self, c):
-        """Multiply every entry by the scalar c (same domain)."""
-        c = self.domain.coerce(c)
-        if self.domain.is_rational:
-            n, d = c._numerator, c._denominator
-            values = tuple(_ratio(n * v._numerator, d * v._denominator) for v in self.values)
-        else:
-            mul = self.domain.mul
-            values = tuple(mul(c, v) for v in self.values)
-        return Matrix._make(self.shape, self.domain, values, self.partition)
+        """Multiply every entry by the scalar c (same domain): the natural
+        product with c in every position."""
+        return self._entrywise(repeat(self.domain.coerce(c)), mul)
 
 
 # Matrix refuses __setattr__; its slot descriptors are the cheapest way in.
@@ -351,11 +343,8 @@ def _from_rows(rows, domain, row_cuts, col_cuts, coerce=None):
 def _from_values(shape, domain, values, row_cuts, col_cuts):
     """The matrix of the row-major `values`, canonical for `domain`, cut
     by the given cuts."""
-    ptype = None
-    if row_cuts or col_cuts:
-        ptype = PartitionType(shape, row_cuts, col_cuts)
-        if ptype.is_plain:
-            ptype = None
+    # a cut list that is not empty names a cut, or PartitionType refuses it
+    ptype = PartitionType(shape, row_cuts, col_cuts) if row_cuts or col_cuts else None
     return Matrix._make(shape, domain, tuple(values), ptype)
 
 
@@ -652,11 +641,8 @@ def zero_divisor_witness(a: Matrix):
     """
     if a.domain.is_modular:
         raise DomainMismatch("witness construction expects a zero-divisor-free scalar domain")
-    zero, one = a.domain.zero, a.domain.one
-    bits = [one if v == zero else zero for v in a.values]
-    if all(b == zero for b in bits):
-        return None
-    return Matrix(a.shape, a.domain, bits)
+    mask = main_complement(a)
+    return None if mask.is_zero() else mask.to_matrix(a.domain)
 
 
 # -- support masks ---------------------------------------------------------

@@ -883,19 +883,6 @@ class ConeReport:
     additive_strictness_ok: bool
     zero_divisor_pair: tuple | None
 
-    def to_json(self):
-        pair = None
-        if self.zero_divisor_pair:
-            pair = [render_matrix(m) for m in self.zero_divisor_pair]
-        return {
-            "shape": [self.shape.rows, self.shape.cols],
-            "domain": self.domain.code,
-            "samples": self.samples,
-            "positive_products_ok": self.positive_products_ok,
-            "additive_strictness_ok": self.additive_strictness_ok,
-            "zero_divisor_pair": pair,
-        }
-
 
 def _strictly_positive_sample(rng, shape, domain):
     values = []

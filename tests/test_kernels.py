@@ -1,6 +1,6 @@
 """The integer kernels of `@` (plain and packed), `usual_inverse` and the
-MatPoly convolutions, the Q/Q+ entrywise kernels of `+`, `-`, `*` and
-`scale`, the per-entry paths of parse, JSON, render and
+MatPoly convolutions, the one entrywise kernel of `+`, `-`, `*` and
+`scale` on every domain, the per-entry paths of parse, JSON, render and
 `natural_inverse`, and the bulk entry parse of whole literals, JSON
 matrices and polynomials, against the plain Fraction/int code they
 replaced (kept here, test-only, as `_ref_*`).
@@ -196,8 +196,8 @@ def _ref_natural_inverse(a):
 
 
 def _ref_entrywise(op, a, b):
-    """`op` (+, - or *) on each pair of entries, one Fraction operation
-    each; in a cone the first difference below 0 raises."""
+    """`op` (+, - or *) on each pair of entries, one Fraction or int
+    operation each; in a cone the first difference below 0 raises."""
     domain, values = a.domain, []
     for x, y in zip(a.values, b.values):
         v = op(x, y)
@@ -208,7 +208,7 @@ def _ref_entrywise(op, a, b):
 
 
 def _ref_scale(a, c):
-    """c * v for every entry v, one Fraction product each."""
+    """c * v for every entry v, one Fraction or int product each."""
     c = a.domain.coerce(c)
     return Matrix(a.shape, a.domain, [c * v for v in a.values]).with_partition(a.partition)
 
@@ -709,6 +709,23 @@ def test_sparse_usual_convolution_on_both_sides_of_the_column_gate(top, want):
         _assert_same(product, _ref_umul(x, y))
 
 
+@pytest.mark.parametrize("domain", [Z, Q], ids=lambda d: d.code)
+@pytest.mark.parametrize("product", [operator.mul, operator.matmul], ids=["nmul", "umul"])
+def test_a_cancelled_degree_is_never_lowered(domain, product):
+    """(J + J x)(J - J x) = J^2 - J^2 x^2 under either product (J the
+    all-ones 2 x 2): the x terms cancel, so the sparse convolution lowers
+    degrees 0 and 2 only."""
+    j = Matrix(Shape(2, 2), domain, [1] * 4)
+    p = MatPoly(Shape(2, 2), domain, {0: j, 1: j})
+    q = MatPoly(Shape(2, 2), domain, {0: j, 1: -j})
+    with mock.patch.object(natprod.matpoly, "_lower", wraps=natprod.matpoly._lower) as lower:
+        got = product(p, q)
+    assert lower.call_count == 2
+    square = product(j, j)
+    _assert_same(got, MatPoly(Shape(2, 2), domain, {0: square, 2: -square}))
+    _assert_same(got, (_ref_nmul if product is operator.mul else _ref_umul)(p, q))
+
+
 @settings(max_examples=150)
 @given(st.sampled_from(DOMAINS), st.data())
 def test_dense_convolutions_match_reference(domain, data):
@@ -910,7 +927,7 @@ def test_inv_refuses_what_is_not_a_unit(domain, value):
     assert str(info.value) == f"{value} is not a unit in {domain.code}"
 
 
-# -- Q and Q+ entrywise kernels, parse and JSON -------------------------------
+# -- entrywise kernels on every domain; Q and Q+ parse and JSON ----------------
 
 
 def _rationals(domain):
@@ -929,11 +946,21 @@ def _partitions(draw, shape):
     return PartitionType(shape, row_cuts, col_cuts)
 
 
+def _entries(domain):
+    """What `_rationals` draws on Q and Q+; on Z, Z+ and Z_n, 0, 1, -1 (off
+    the cone) and n with |n| <= BOUND (n >= 0 in a cone), which the
+    constructor reduces on Z_n."""
+    if domain.is_rational:
+        return _rationals(domain)
+    lo = 0 if domain.is_cone else -BOUND
+    return st.one_of(st.sampled_from([0, 1, max(lo, -1)]), st.integers(lo, BOUND))
+
+
 @st.composite
-def _rational_pairs(draw, domain):
+def _entrywise_pairs(draw, domain):
     """Two matrices of `domain` with one shape and one partition."""
     shape = Shape(draw(st.integers(1, 4)), draw(st.integers(1, 4)))
-    entries = st.lists(_rationals(domain), min_size=shape.size, max_size=shape.size)
+    entries = st.lists(_entries(domain), min_size=shape.size, max_size=shape.size)
     ptype = draw(_partitions(shape))
     return tuple(Matrix(shape, domain, draw(entries)).with_partition(ptype) for _ in range(2))
 
@@ -942,9 +969,10 @@ _ENTRYWISE = [operator.add, operator.sub, operator.mul]
 
 
 @settings(max_examples=300)
-@given(st.sampled_from(RATIONAL), st.data())
+@given(st.sampled_from(DOMAINS), st.data())
 def test_rational_entrywise_kernels_match_reference(domain, data):
-    a, b = data.draw(_rational_pairs(domain))
+    """`+`, `-` and `*` on every domain, Q and Q+ as well as Z, Z+ and Z_n."""
+    a, b = data.draw(_entrywise_pairs(domain))
     # entrywise at most a: a difference that stays in the cone
     low = Matrix(a.shape, domain, list(map(min, a.values, b.values))).with_partition(a.partition)
     for x, y in [(a, b), (b, a), (a, low), (a, a)]:
@@ -954,10 +982,13 @@ def test_rational_entrywise_kernels_match_reference(domain, data):
 
 
 @settings(max_examples=200)
-@given(st.sampled_from(RATIONAL), st.data())
+@given(st.sampled_from(DOMAINS), st.data())
 def test_rational_scale_and_natural_inverse_match_reference(domain, data):
-    a, _ = data.draw(_rational_pairs(domain))
-    c = data.draw(st.one_of(_rationals(Q), st.integers(-BOUND, BOUND)))
+    """`scale` and `natural_inverse` on every domain; a negative c refuses
+    in a cone."""
+    a, _ = data.draw(_entrywise_pairs(domain))
+    whole = st.integers(-BOUND, BOUND)
+    c = data.draw(st.one_of(_rationals(Q), whole) if domain.is_rational else whole)
     _assert_same_outcome(_outcome(a.scale, c), _outcome(_ref_scale, a, c))
     _assert_same_outcome(_outcome(natural_inverse, a), _outcome(_ref_natural_inverse, a))
 
@@ -982,6 +1013,15 @@ def test_cone_difference_refuses_at_the_first_entry_below_zero():
     with pytest.raises(ConeViolation) as want:
         Q_PLUS.sub(a.values[1], b.values[1])
     assert str(got.value) == str(want.value) == "1 - 2 leaves the cone Q+"
+    assert _outcome(_ref_entrywise, operator.sub, a, b) == ("ConeViolation", str(want.value))
+    # over Z+ too, where entries 1 and 2 both fall below zero
+    a = parse_literal("[3 | 1 ; -- ; 4 | 0]", Z_PLUS)
+    b = parse_literal("[2 | 5 ; -- ; 9 | 0]", Z_PLUS)
+    with pytest.raises(ConeViolation) as got:
+        a - b
+    with pytest.raises(ConeViolation) as want:
+        Z_PLUS.sub(a.values[1], b.values[1])
+    assert str(got.value) == str(want.value) == "1 - 5 leaves the cone Z+"
     assert _outcome(_ref_entrywise, operator.sub, a, b) == ("ConeViolation", str(want.value))
 
 
