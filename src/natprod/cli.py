@@ -10,9 +10,9 @@ complement <matrix>, verify {paper-examples|laws|census}.
 Each verb takes only the flags its handler reads; any other flag exits 2.
 Each handler imports the layers it runs, so a child process loads only
 what its verb needs: `complement` runs on `matrix` alone, and `json` is
-imported only where JSON text is read or written.  `--samples` is bounded
-per verb: LAWS_MAX_SAMPLES for `verify laws`, ANALYZE_MAX_SAMPLES for
-`analyze carrier`.
+imported only where JSON text is read or written.  `--seed` and `--samples`
+pass through only when given, so `structures.analyze` and `verify.run_laws`
+state their defaults; `--samples` is at most MAX_SAMPLES.
 
 Exit codes: 0 success, 1 negative finding (false predicate, no roots,
 failed suite case), 2 usage or parse errors, 3 internal error (any other
@@ -52,8 +52,7 @@ from .matrix import (
 )
 from .scalars import Q, _past_digit_limit, domain_from_code
 
-LAWS_MAX_SAMPLES = 100_000
-ANALYZE_MAX_SAMPLES = 100_000
+MAX_SAMPLES = 100_000
 
 
 # One command's outcome: exit code, stdout payload, stderr diagnostics.
@@ -62,8 +61,8 @@ RunReport = collections.namedtuple("RunReport", "exit_code payload diagnostics",
 
 _FLAGS = {
     "format": dict(choices=("text", "json"), default="text"),
-    "seed": dict(type=int, default=0),
-    "samples": dict(type=int, default=None),
+    "seed": dict(type=int),
+    "samples": dict(type=int),
     "domain": dict(default="Q"),
     "const": dict(default=None, metavar="MATRIX"),
 }
@@ -306,16 +305,15 @@ def _parse_carrier(spec, domain):
         raise ParseError(f"bad carrier file {shorten(spec)}: {exc}") from None
 
 
-def _samples(args, default, bound):
-    """The --samples value (default when absent); at least 1, at most `bound`."""
-    if args.samples is None:
-        return default
-    got = shorten(str(args.samples))
-    if args.samples < 1:
-        raise ParseError(f"--samples must be at least 1, got {got}")
-    if args.samples > bound:
-        raise TooLarge(f"--samples must be at most {bound}, got {got}")
-    return args.samples
+def _samples(args):
+    """The keyword arguments of the flags given; --samples is in 1..MAX_SAMPLES."""
+    n = args.samples
+    if n is not None and not 1 <= n <= MAX_SAMPLES:
+        got = shorten(str(n))
+        if n < 1:
+            raise ParseError(f"--samples must be at least 1, got {got}")
+        raise TooLarge(f"--samples must be at most {MAX_SAMPLES}, got {got}")
+    return {name: v for name, v in (("seed", args.seed), ("samples", n)) if v is not None}
 
 
 def _listing(fmt, head_json, head_text, key, members):
@@ -334,8 +332,7 @@ def _cmd_analyze(args):
     carrier = _parse_carrier(args.inputs[0], domain)
 
     if args.subverb == "carrier":
-        samples = _samples(args, 400, ANALYZE_MAX_SAMPLES)
-        report = st.analyze(carrier, seed=args.seed, samples=samples)
+        report = st.analyze(carrier, **_samples(args))
         return RunReport(0, _emit(fmt, report, lambda r: r.to_json(), lambda r: r.table()))
     if args.subverb == "idempotents":
         idems = st.idempotents_in(carrier)
@@ -375,11 +372,7 @@ def _cmd_verify(args):
 
     if args.suite not in vf.SUITES:
         raise ParseError(f"unknown suite {shorten(args.suite)!r}")
-    if args.suite == "laws":
-        samples = _samples(args, 10000, LAWS_MAX_SAMPLES)
-        results = vf.run_laws(seed=args.seed, samples=samples)
-    else:
-        results = vf.SUITES[args.suite]()
+    results = vf.run_laws(**_samples(args)) if args.suite == "laws" else vf.SUITES[args.suite]()
     failed = sum(1 for r in results if not r.ok)
 
     def to_json(results):

@@ -60,6 +60,16 @@ def _ratio(n, d):
     return value
 
 
+def _draw(rng, domain, lo, hi, max_den=9):
+    """A seeded random value, canonical for `domain`: randint(lo, hi), over
+    Q and Q+ divided by randint(1, max_den), absolute in a cone."""
+    n = rng.randint(lo, hi)
+    n = abs(n) if domain.is_cone else n
+    if domain.is_rational:
+        return _ratio(n, rng.randint(1, max_den))
+    return n % domain.modulus if domain.is_modular else n
+
+
 class _Value:
     """Base of the value classes: a value's fields are its class's
     `__slots__`, in order, set once by `_fill` and never changed or

@@ -28,7 +28,6 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cache, partial
 
 from .errors import DomainMismatch, NotMember, ShapeMismatch, TooLarge, UnsupportedDomain
@@ -42,7 +41,7 @@ from .matrix import (
     render_matrix,
     support,
 )
-from .scalars import Domain, Z_PLUS, _Value
+from .scalars import Domain, Z_PLUS, _draw, _Value
 
 NATURAL_PRODUCT = "nproduct"
 ADDITION = "add"
@@ -475,13 +474,16 @@ class _Power(_Table):
     per index; every reader takes either form.
 
     An answer that is a product of cell answers, one digit set per
-    position, is read from `cell`: the idempotents (`idempotents_in`), the
-    ideal of a member and the maximal subgroups.  A member's matrix is
-    built only when reported: `members` builds the indices it is given,
-    `matrices` a product of digit sets, and `fill` all n at once.
+    position, is read from `cell`: the idempotents (`idempotents_in`) from
+    its diagonal, the ideal of a member from one cell row per digit, and
+    the maximal subgroups.  All k² cell products are computed only when
+    `row`, `fill` or `closure_witness` asks whether the cell is closed.  A
+    member's matrix is built only when reported: `members` builds the
+    indices it is given, `matrices` a product of digit sets, and `fill`
+    all n at once.
     """
 
-    __slots__ = ("cell", "size", "closed")
+    __slots__ = ("cell", "size", "_closed")
 
     def __init__(self, carrier, n, cell):
         self.elements = [None] * n
@@ -490,7 +492,13 @@ class _Power(_Table):
         self.rows = [None] * n
         self._memo = {}
         self.cell, self.size = cell, carrier.shape.size
-        self.closed = cell.closure_witness() is None
+        self._closed = None
+
+    @property
+    def closed(self):  # the cell's, and so the carrier's, closure: kept once computed
+        if self._closed is None:
+            self._closed = self.cell.closure_witness() is None
+        return self._closed
 
     def digits(self, a: int):
         """Element a's digits, first entry first."""
@@ -527,9 +535,7 @@ class _Power(_Table):
         return row
 
     def column(self, b: int) -> list:
-        cell = self.cell
-        lines = [[cell.mul(e, d) for e in range(cell.n)] for d in self.digits(b)]
-        return [self.index[t] for t in itertools.product(*lines)]
+        return self.row(b)  # both operations commute on the cell values
 
     def members(self, indices):
         """Builds the members it is given, unless `fill` has built all n."""
@@ -555,7 +561,7 @@ class _Power(_Table):
         if not self.closed:
             return super().fill()
         # rows[a_hi·K + a_lo][b_hi·K + b_lo] = cell[a_hi][b_hi]·K + rows[a_lo][b_lo]
-        cell, size = self.cell.rows, 1
+        cell, size = self.cell.fill().rows, 1
         if self.n <= 256:  # every index is one byte: translating by shift[c] adds c·K
             rows = [b"\0"]
             while size < self.n:
@@ -796,18 +802,9 @@ class MaskSubspace:
 
     def sample_member(self, rng: random.Random, lo=-9, hi=9) -> Matrix:
         """A random member; entries on the mask, zero elsewhere."""
-        values = []
-        for bit in self.mask.bits:
-            if not bit:
-                values.append(self.domain.zero)
-            elif self.domain.is_rational:
-                num = rng.randint(lo, hi)
-                den = rng.randint(1, 9)
-                values.append(self.domain.coerce(Fraction(abs(num) if self.domain.is_cone else num, den)))
-            else:
-                v = rng.randint(lo, hi)
-                values.append(self.domain.coerce(abs(v) if self.domain.is_cone else v))
-        return Matrix(self.shape, self.domain, values)
+        domain = self.domain
+        values = [_draw(rng, domain, lo, hi) if bit else domain.zero for bit in self.mask.bits]
+        return Matrix._make(self.shape, domain, tuple(values))
 
     def __repr__(self):
         return f"MaskSubspace({self.mask!r}, {self.domain.code})"
@@ -884,16 +881,6 @@ class ConeReport:
     zero_divisor_pair: tuple | None
 
 
-def _strictly_positive_sample(rng, shape, domain):
-    values = []
-    for _ in range(shape.size):
-        if domain.is_rational:
-            values.append(Fraction(rng.randint(1, 99), rng.randint(1, 99)))
-        else:
-            values.append(rng.randint(1, 99))
-    return Matrix(shape, domain, values)
-
-
 def cone_zero_divisor_pair(shape, domain: Domain):
     """A canonical annihilating pair with complementary supports, or None.
 
@@ -926,15 +913,14 @@ def cone_positivity_check(shape, domain: Domain, samples=1000, seed=0) -> ConeRe
     shape = _shape(shape)
     rng = random.Random(seed)
     zero = domain.zero
-    products_ok = True
-    strict_ok = True
-    for _ in range(samples):
-        x = _strictly_positive_sample(rng, shape, domain)
-        y = _strictly_positive_sample(rng, shape, domain)
+    products_ok = strict_ok = True
+    size = shape.size
+    for _ in range(samples):  # x then y, each entry in 1..99 (over Q+ divided by 1..99)
+        draws = tuple([_draw(rng, domain, 1, 99, 99) for _ in range(2 * size)])
+        x, y = Matrix._make(shape, domain, draws[:size]), Matrix._make(shape, domain, draws[size:])
         if any(v == zero for v in (x * y).values):
             products_ok = False
-        total = x + y
-        if total.is_zero() and not (x.is_zero() and y.is_zero()):
+        if (x + y).is_zero() and not (x.is_zero() and y.is_zero()):
             strict_ok = False
     return ConeReport(
         shape=shape,

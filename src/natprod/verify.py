@@ -52,7 +52,7 @@ from .matrix import (
     trivial_idempotents,
     zero_divisor_witness,
 )
-from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, kth_root
+from .scalars import Mod, Q, Q_PLUS, Scalar, Z, Z_PLUS, _draw, kth_root
 
 
 @dataclass
@@ -705,19 +705,13 @@ def run_paper_examples():
 
 
 def rand_fraction(rng: random.Random, lo=-9, hi=9, max_den=9) -> Fraction:
-    return Fraction(rng.randint(lo, hi), rng.randint(1, max_den))
+    return _draw(rng, Q, lo, hi, max_den)
 
 
 def rand_matrix(rng: random.Random, shape, domain=Q, lo=-9, hi=9) -> Matrix:
-    values = []
-    for _ in range(Shape(*shape).size):
-        if domain.is_rational:
-            v = rand_fraction(rng, lo, hi)
-            values.append(abs(v) if domain.is_cone else v)
-        else:
-            v = rng.randint(lo, hi)
-            values.append(abs(v) if domain.is_cone else v)
-    return Matrix(Shape(*shape), domain, values)
+    shape = Shape(*shape)
+    values = [_draw(rng, domain, lo, hi) for _ in range(shape.size)]
+    return Matrix._make(shape, domain, tuple(values))
 
 
 def rand_shape(rng: random.Random, max_rows=5, max_cols=5) -> Shape:

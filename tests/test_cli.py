@@ -1,3 +1,4 @@
+import inspect
 import json
 import subprocess
 import sys
@@ -7,8 +8,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from natprod import cli, matrix_to_json, parse_literal, parse_poly, poly_to_json
+from natprod import analyze, cli, matrix_to_json, parse_literal, parse_poly, poly_to_json
 from natprod.cli import run_command
+from natprod.verify import run_laws
 
 
 BIG = "9" * 5000  # past Python's default int/str limit of 4300 digits
@@ -123,10 +125,9 @@ def test_errors_without_an_input_position_name_none(capsys):
 @pytest.mark.parametrize(
     "argv,bound",
     [
-        (("verify", "laws", "--samples", "100000000"), cli.LAWS_MAX_SAMPLES),
-        (("analyze", "carrier", "masks:3x3", "--samples", "1000000000"), cli.ANALYZE_MAX_SAMPLES),
-        (("analyze", "carrier", "masks:3x3", "--samples", str(cli.ANALYZE_MAX_SAMPLES + 1)),
-         cli.ANALYZE_MAX_SAMPLES),
+        (("verify", "laws", "--samples", "100000000"), cli.MAX_SAMPLES),
+        (("analyze", "carrier", "masks:3x3", "--samples", "1000000000"), cli.MAX_SAMPLES),
+        (("analyze", "carrier", "masks:3x3", "--samples", str(cli.MAX_SAMPLES + 1)), cli.MAX_SAMPLES),
     ],
 )
 def test_samples_past_the_bound_exit_2_at_once(argv, bound):
@@ -139,9 +140,18 @@ def test_samples_past_the_bound_exit_2_at_once(argv, bound):
 
 
 def test_samples_bounds_admit_the_defaults():
-    assert cli.LAWS_MAX_SAMPLES >= 10000 and cli.ANALYZE_MAX_SAMPLES >= 400
-    bound = str(cli.ANALYZE_MAX_SAMPLES)
+    for sampler in (run_laws, analyze):
+        assert cli.MAX_SAMPLES >= inspect.signature(sampler).parameters["samples"].default
+    bound = str(cli.MAX_SAMPLES)
     assert run("analyze", "carrier", "masks:1x2", "--samples", bound).exit_code == 0
+
+
+def test_absent_seed_and_samples_keep_the_library_defaults():
+    # all:2x2:Zn:3 has 81 members, past the exhaustive limit, so its
+    # associativity is sampled
+    bare = run("analyze", "carrier", "all:2x2:Zn:3")
+    assert bare.exit_code == 0 and "sampled(400)" in bare.payload
+    assert bare == run("analyze", "carrier", "all:2x2:Zn:3", "--seed", "0", "--samples", "400")
 
 
 @pytest.mark.parametrize(

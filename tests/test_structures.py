@@ -33,6 +33,7 @@ from natprod import (
     check_sum,
     cone_positivity_check,
     cone_zero_divisor_pair,
+    domain_from_code,
     ideal_generated,
     idempotents_in,
     is_ideal,
@@ -52,7 +53,7 @@ from natprod.structures import (
     StructureReport,
     _Table,
 )
-from natprod.verify import rand_matrix
+from natprod.verify import rand_fraction, rand_matrix
 
 
 def test_analyze_mod3_pairs():
@@ -333,6 +334,50 @@ def test_cone_positivity():
     assert single.zero_divisor_pair is None
     with pytest.raises(UnsupportedDomain):
         cone_positivity_check(Shape(1, 2), Q)
+
+
+# Seed 3, as drawn by the per-sampler loops that the one seeded draw
+# `scalars._draw` replaced: a 2x3 and then a 1x2 `rand_matrix` (entries in
+# -4..4), a member of the mask [1 0 1;0 1 1], and in a cone the pairs of
+# `cone_positivity_check(2x2, samples=2, seed=3)`.
+SEEDED_DRAWS = [
+    ("Z", "[-2 9 8;-5 2 6]", "[-3 -4]", "[6 0 -1;0 8 -2]", None),
+    ("Q", "[-2/9 -5/6 3;-9/8 -1/9 -1/2]", "[1/3 1/2]", "[1 0 -2/3;0 1 -9/2]", None),
+    ("Z+", "[2 9 8;5 2 6]", "[3 4]", "[6 0 1;0 8 2]",
+     ["[31 76;70 17]", "[48 78;61 81]", "[75 9;78 2]", "[61 34;71 30]"]),
+    ("Q+", "[2/9 5/6 3;9/8 1/9 1/2]", "[1/3 1/2]", "[1 0 2/3;0 1 9/2]",
+     ["[31/76 70/17;8/13 61/81]", "[25/3 39;61/34 71/30]", "[25/92 61/70;71/61 51/82]",
+      "[2/3 41/10;67/50 95/2]"]),
+    ("Zn:7", "[5 2 1;2 2 6]", "[4 3]", "[6 0 6;0 1 5]", None),
+]
+
+
+@pytest.mark.parametrize("code,first,second,member,cone", SEEDED_DRAWS)
+def test_seeded_draws_keep_their_streams(code, first, second, member, cone, monkeypatch):
+    domain = domain_from_code(code)
+    rng = random.Random(3)
+    mask = SupportMask(Shape(2, 3), [1, 0, 1, 0, 1, 1])
+    drawn = [
+        rand_matrix(rng, (2, 3), domain),
+        rand_matrix(rng, (1, 2), domain, lo=-4, hi=4),
+        MaskSubspace(mask, domain).sample_member(rng),
+    ]
+    if cone is not None:
+        pairs, product = [], Matrix.__mul__
+        monkeypatch.setattr(Matrix, "__mul__", lambda x, y: pairs.append((x, y)) or product(x, y))
+        cone_positivity_check(Shape(2, 2), domain, samples=2, seed=3)
+        drawn += [m for pair in pairs for m in pair]
+    assert [render_matrix(m) for m in drawn] == [first, second, member, *(cone or [])]
+    # every value is canonical for the domain: a reduced Fraction over Q and
+    # Q+, a residue over Z_n, an int otherwise
+    assert {type(v) for m in drawn for v in m.values} == {Fraction if domain.is_rational else int}
+    assert drawn == [Matrix(m.shape, domain, m.values) for m in drawn]
+
+
+def test_seeded_fractions_keep_their_stream():
+    rng = random.Random(3)
+    assert [str(rand_fraction(rng)) for _ in range(4)] == ["-2/9", "-5/6", "3", "-9/8"]
+    assert rand_fraction(rng, 1, 99, 99) == Fraction(34, 71)
 
 
 @pytest.mark.parametrize("domain", [Z_PLUS, Q_PLUS], ids=lambda d: d.code)
@@ -870,6 +915,24 @@ def test_single_read_walks_compute_each_product_once(monkeypatch):
         calls.clear()
         idempotents_in(carrier)
         assert len(calls) == n and len(set(calls)) == n
+
+
+def test_cell_questions_compute_only_the_cell_products_they_read(monkeypatch):
+    scalar_calls, scalar_product = [], Domain.mul
+
+    def counting(domain, a, b):
+        scalar_calls.append((a, b))
+        return scalar_product(domain, a, b)
+
+    monkeypatch.setattr(Domain, "mul", counting)
+    # the idempotents read the k cell squares and the ideal of [2] one cell
+    # row, never the whole k x k table
+    carrier = Carrier.all_matrices(Shape(1, 1), Mod(97))
+    two = sq([[2]], Mod(97))
+    for question in (partial(idempotents_in, carrier), partial(ideal_generated, carrier, two)):
+        scalar_calls.clear()
+        question()
+        assert len(scalar_calls) == 97
 
 
 def test_enumerated_carriers_compute_no_product_past_one_cell(monkeypatch):
